@@ -34,11 +34,27 @@ def _rational(text: str) -> Rational:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_rational(text: str) -> Rational:
+    value = _rational(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"step {text!r} must be > 0")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    if not re.fullmatch(r"\+?\d+", text.strip()):
+        raise argparse.ArgumentTypeError(f"count {text!r} must be an integer >= 0")
+    return int(text)
+
+
 def _rational_range(text: str) -> tuple[Rational, Rational]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError(f"malformed range {text!r} (expected 'A..B')")
-    return _rational(lo), _rational(hi)
+    lo, hi = _rational(lo), _rational(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"reversed range {text!r} (expected A <= B)")
+    return lo, hi
 
 
 def _window(text: str) -> Window:
@@ -195,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("orbit", help="first N integer iterates of a start point")
     map_flags(sp)
     sp.add_argument("--x", type=_rational, required=True, metavar="P/Q")
-    sp.add_argument("--steps", type=int, required=True)
+    sp.add_argument("--steps", type=_non_negative_int, required=True)
     sp.set_defaults(handler=_cmd_orbit)
 
     sp = sub.add_parser("classify", help="which of the nine parameter regimes applies")
@@ -205,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="bifurcation-diagram sweep to CSV/JSONL")
     sp.add_argument("--target", choices=[t.value for t in SweepTarget], required=True)
     sp.add_argument("--lambda-range", type=_rational_range, required=True, metavar="A..B")
-    sp.add_argument("--lambda-step", type=_rational, required=True, metavar="P/Q")
+    sp.add_argument("--lambda-step", type=_positive_rational, required=True, metavar="P/Q")
     sp.add_argument("--mu-range", type=_rational_range, required=True, metavar="A..B")
-    sp.add_argument("--mu-step", type=_rational, required=True, metavar="P/Q")
+    sp.add_argument("--mu-step", type=_positive_rational, required=True, metavar="P/Q")
     sp.add_argument("--x-window", type=_window, required=True, metavar="LO..HI")
     sp.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     sp.add_argument("--format", choices=["csv", "jsonl"], default="csv")
@@ -215,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="closed forms vs brute force on a parameter grid")
     sp.add_argument("--lambda-range", type=_rational_range, required=True, metavar="A..B")
-    sp.add_argument("--lambda-step", type=_rational, required=True, metavar="P/Q")
+    sp.add_argument("--lambda-step", type=_positive_rational, required=True, metavar="P/Q")
     sp.add_argument("--mu-range", type=_rational_range, required=True, metavar="A..B")
-    sp.add_argument("--mu-step", type=_rational, required=True, metavar="P/Q")
+    sp.add_argument("--mu-step", type=_positive_rational, required=True, metavar="P/Q")
     sp.add_argument("--window", type=_window, required=True, metavar="LO..HI")
-    sp.add_argument("--samples", type=int, default=5, help="random start points per grid cell")
+    sp.add_argument("--samples", type=_non_negative_int, default=5, help="random start points per grid cell")
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(handler=_cmd_verify)
 

@@ -1,9 +1,11 @@
 """Exact arithmetic core for the map f(x) = floor(lam*x + mu).
 
-Every scalar in this package is a ``fractions.Fraction``; no floating
-point exists anywhere, so all threshold comparisons are decidable and
-exact. The map sends all of Q into Z, which means an orbit is a single
-rational start followed by a purely integer tail.
+``fractions.Fraction`` is the boundary type: parameters and start points
+enter and leave the package as Fractions, and no floating point exists
+anywhere, so all threshold comparisons are decidable and exact. The map
+sends all of Q into Z, which means an orbit is a single rational start
+followed by a purely integer tail; inside, the closed forms and the
+iteration run on the integer form of the map (:func:`_integer_form`).
 """
 
 from __future__ import annotations
@@ -88,17 +90,23 @@ def eval_map(p: Params, x: RationalLike) -> int:
     return floor_rat(eval_affine(p, x))
 
 
-def integer_step(p: Params) -> Callable[[int], int]:
-    """Specialise f to integer arguments as pure machine-integer arithmetic.
+def _integer_form(p: Params) -> tuple[int, int, int]:
+    """(scale, offset, den) = (a*d, c*b, b*d) for lam = a/b, mu = c/d (b, d > 0).
 
-    With lam = a/b and mu = c/d (b, d > 0) one has
-    f(z) = floor((a*d*z + c*b) / (b*d)), and Python's ``//`` floors toward
-    -inf, so the closure agrees with :func:`eval_map` on every integer.
-    Orbit tails live entirely in Z, so this is the hot path for iteration.
+    Clearing both denominators gives f(z) = (scale*z + offset) // den on
+    integers, since Python's ``//`` floors toward -inf; den > 0, so every
+    threshold on f keeps its direction.
     """
     a, b = p.lam.numerator, p.lam.denominator
     c, d = p.mu.numerator, p.mu.denominator
-    scale, offset, den = a * d, c * b, b * d
+    return a * d, c * b, b * d
+
+
+def integer_step(p: Params) -> Callable[[int], int]:
+    """Specialise f to integer arguments on its integer form, which agrees
+    with :func:`eval_map` on every integer. Orbit tails live entirely in Z,
+    so this is the hot path for iteration."""
+    scale, offset, den = _integer_form(p)
 
     def step(z: int) -> int:
         return (scale * z + offset) // den

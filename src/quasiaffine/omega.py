@@ -1,13 +1,13 @@
 """Exact limit-set classification for f(x) = floor(lam*x + mu).
 
 The limit set of any forward orbit here is one of: a single fixed point,
-a 2-cycle, {+inf}, {-inf}, or {-inf, +inf}. For lam >= 0, and for the
-central slab when lam < 0, the answer has a closed form in x and the
-parameters. The remaining negative-slope starts are settled by an exact
-decision procedure on the (monotone non-decreasing) second iterate: its
-integer orbit either stops on a periodic point or strictly passes every
-periodic point of the map, after which it can never return. No
-tolerances, no iteration caps.
+a 2-cycle, {+inf}, {-inf}, or {-inf, +inf}. For lam >= 0, at lam = -1,
+and for starts that land on a fixed point, the answer has a closed form
+in the integer z = f(x) and the parameters. The remaining negative-slope
+starts are settled by an exact decision procedure on the (monotone
+non-decreasing) second iterate: its integer orbit either stops on a
+periodic point or strictly passes every periodic point of the map, after
+which it can never return. No tolerances, no iteration caps.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Params, Rational, RationalLike, as_rational, eval_map, floor_rat, integer_step
-from .periodic import fixed_points, two_cycles
+from .core import Params, Rational, RationalLike, _integer_form, eval_map, floor_rat, integer_step
+from .periodic import _two_cycle_runs, fixed_points
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,12 @@ class CaseTag(Enum):
 def floor_affine_fixpoint(p: Params) -> int:
     """floor(mu / (1 - lam)): the floor of the unique fixed point of the
     inducing affine map (lam != 1). For lam < 0 every image of f is this
-    value plus a slab index."""
+    value plus a slab index. Clearing b*d turns it into
+    offset // (den - scale) on the integer form of the map."""
     if p.lam == 1:
         raise ValueError("the affine map has no unique fixed point at lambda = 1")
-    return floor_rat(-p.mu / (p.lam - 1))
+    scale, offset, den = _integer_form(p)
+    return offset // (den - scale)
 
 
 def interval_bounds(p: Params, n: int) -> tuple[Rational, Rational]:
@@ -143,62 +145,39 @@ def classify_case(p: Params) -> CaseTag:
 def omega_limit(p: Params, x: RationalLike) -> OmegaLimit:
     """Exact limit set of the forward orbit of x.
 
-    Closed-form regimes answer without iteration:
+    The orbit enters Z after one step, z = f(x), and for lam >= 0 and
+    lam = -1 the answer follows from that integer and the fixed run
+    lo .. hi of :func:`fixed_points`, without further iteration:
 
-      lam > 1, fixed run [lo, hi] : +inf for x >= (hi + 1 - mu)/lam,
-        -inf for x < (lo - mu)/lam, else the orbit lands on Fixed(f(x));
-      lam > 1, no fixed point     : +inf iff x >= (floor(-mu/(lam-1)) - mu + 1)/lam;
-      lam = 1  : +inf when mu >= 1, -inf when mu < 0, else Fixed(f(x));
-      0 < lam < 1 : Fixed at the nearest end of the run, or Fixed(f(x))
-        inside the central band;
-      lam = 0  : Fixed(floor(mu));
-      lam = -1 : the third iterate equals the first, so the limit is
-        {floor(mu - x), floor(mu) - floor(mu - x)} (a fixed point when the
-        two coincide);
-      lam < 0 with a fixed point, x in the central slab : Fixed there.
+      lam = -1 : f(w) = floor(mu) - w on Z, so the limit is
+        {z, floor(mu) - z} (a fixed point when the two coincide);
+      0 <= lam < 1 : f is monotone, moves every w outside the run towards
+        it and maps lo and hi to themselves, so Fixed(min(max(z, lo), hi));
+      lam >= 1, z in the fixed run : Fixed(z), the orbit has stopped;
+      lam = 1  : f(w) = w + floor(mu), so +inf when mu >= 1, else -inf;
+      lam > 1  : a non-fixed integer w has f(w) > w iff w > mu/(1-lam), and
+        f keeps it on that side, so +inf iff z > floor_affine_fixpoint(p),
+        else -inf.
 
     Every other negative-slope start is settled by :func:`resolve_negative`.
     """
-    x = as_rational(x)
-    lam, mu = p.lam, p.mu
-    if lam > 1:
-        fs = fixed_points(p)
-        if fs.kind == "range":
-            if x >= (fs.hi + 1 - mu) / lam:
-                return OmegaLimit.plus_inf()
-            if x < (fs.lo - mu) / lam:
-                return OmegaLimit.minus_inf()
-            return OmegaLimit.fixed(eval_map(p, x))
-        threshold = (floor_rat(-mu / (lam - 1)) - mu + 1) / lam
-        return OmegaLimit.plus_inf() if x >= threshold else OmegaLimit.minus_inf()
-    if lam == 1:
-        if mu >= 1:
-            return OmegaLimit.plus_inf()
-        if mu < 0:
-            return OmegaLimit.minus_inf()
-        return OmegaLimit.fixed(eval_map(p, x))
-    if lam > 0:
-        band_lo = -(mu - 1) / (lam - 1)
-        band_hi = -mu / (lam - 1)
-        if x <= band_lo:
-            return OmegaLimit.fixed(floor_rat(band_lo) + 1)
-        if x > band_hi:
-            return OmegaLimit.fixed(floor_rat(band_hi))
-        return OmegaLimit.fixed(eval_map(p, x))
-    if lam == 0:
-        return OmegaLimit.fixed(floor_rat(mu))
+    lam = p.lam
+    if lam < 0 and lam != -1:
+        return resolve_negative(p, x)
+    z = eval_map(p, x)
     if lam == -1:
-        first = floor_rat(mu - x)
-        second = floor_rat(mu) - first
-        if first == second:
-            return OmegaLimit.fixed(first)
-        return OmegaLimit.two_cycle(min(first, second), max(first, second))
+        partner = floor_rat(p.mu) - z
+        if partner == z:
+            return OmegaLimit.fixed(z)
+        return OmegaLimit.two_cycle(min(z, partner), max(z, partner))
     fs = fixed_points(p)
-    if fs.kind == "range":
-        left, right = interval_bounds(p, 0)
-        if left < x <= right:
-            return OmegaLimit.fixed(fs.lo)
-    return resolve_negative(p, x)
+    if lam < 1:
+        return OmegaLimit.fixed(min(max(z, fs.lo), fs.hi))
+    if z in fs:
+        return OmegaLimit.fixed(z)
+    if lam == 1:
+        return OmegaLimit.plus_inf() if p.mu >= 1 else OmegaLimit.minus_inf()
+    return OmegaLimit.plus_inf() if z > floor_affine_fixpoint(p) else OmegaLimit.minus_inf()
 
 
 def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
@@ -212,21 +191,28 @@ def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
     the limiting 2-cycle) or, once it strictly passes every periodic
     point in its direction of travel, can never stop: the even iterates
     run to one infinity and the odd ones to the other. Both outcomes are
-    reached in finitely many steps, so no iteration cap is needed.
+    reached in finitely many steps, so no iteration cap is needed. A start
+    whose image z is the fixed point has already stopped and is answered
+    before any bound is taken.
+
+    The bound on |periodic point| is taken run by run: the members of the
+    pairs {x, x + k}, x in x_lo .. x_hi, lie in x_lo .. x_hi + k and include
+    both ends, so max(|x_lo|, |x_hi + k|) is their largest magnitude.
     """
     lam = p.lam
     if lam >= 0:
         raise ValueError("resolution procedure requires lambda < 0")
     if lam == -1:
         raise ValueError("lambda = -1 is answered in closed form, not by iteration")
-    bound = 0
-    fs = fixed_points(p)
-    if fs.kind == "range":
-        bound = max(abs(fs.lo), abs(fs.hi))
-    for a, b in two_cycles(p).pairs:
-        bound = max(bound, abs(a), abs(b))
-    step = integer_step(p)
     z = eval_map(p, x)
+    fs = fixed_points(p)
+    if z in fs:
+        return OmegaLimit.fixed(z)
+    bound = max(abs(fs.lo), abs(fs.hi)) if fs.kind == "range" else 0
+    for k, x_lo, x_hi in _two_cycle_runs(p):
+        if x_lo <= x_hi:
+            bound = max(bound, abs(x_lo), abs(x_hi + k))
+    step = integer_step(p)
     while True:
         w = step(step(z))
         if w == z:

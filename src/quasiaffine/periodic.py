@@ -5,16 +5,16 @@ but never cycles; for lam < 0 it is non-increasing, carries at most one
 fixed point, and all remaining periodicity sits in 2-cycles (no cycle of
 length >= 3 exists for any parameters). Both sets admit exact
 descriptions by floors/ceilings of the parameters, with matching
-counting formulas; this module evaluates those descriptions verbatim in
-rational arithmetic.
+counting formulas; this module evaluates those descriptions on the
+integer form of the map, with integer floor division only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .core import Params, ceil_rat, floor_rat
+from .core import Params, _integer_form
 
 
 @dataclass(frozen=True)
@@ -194,103 +194,84 @@ class TwoCycleSet:
 
 
 def fixed_points(p: Params) -> IntegerSet:
-    """Exact fixed-point set of f.
+    """Exact fixed-point set of f, in O(1).
 
-    f(z) = z exactly when 0 <= (lam - 1)*z + mu < 1, which pins a single
-    contiguous integer run:
+    With f(z) = (scale*z + offset) // den (see ``core._integer_form``),
+    f(z) = z exactly when 0 <= s*z + offset < den for s = scale - den,
+    whose sign is that of lam - 1. Solving both inequalities for z pins a
+    single contiguous integer run (floors flip under a negative s):
 
-        lam > 1 : ceil(-mu/(lam-1)) .. ceil(-(mu-1)/(lam-1)) - 1
-        lam = 1 : all of Z when 0 <= mu < 1, else empty
-        lam < 1 : floor(-(mu-1)/(lam-1)) + 1 .. floor(-mu/(lam-1))
+        lam > 1 : -(offset // s) .. -((offset - den) // s) - 1
+        lam = 1 : all of Z when 0 <= offset < den (i.e. 0 <= mu < 1), else empty
+        lam < 1 : (offset - den) // -s + 1 .. offset // -s
 
+    These are ceil(-mu/(lam-1)) .. ceil(-(mu-1)/(lam-1)) - 1 and
+    floor(-(mu-1)/(lam-1)) + 1 .. floor(-mu/(lam-1)) with b*d cleared.
     An inverted run means the set is empty.
     """
-    lam, mu = p.lam, p.mu
-    if lam == 1:
-        return IntegerSet.all_integers() if 0 <= mu < 1 else IntegerSet.empty()
-    s = lam - 1
-    if lam > 1:
-        lo = ceil_rat(-mu / s)
-        hi = ceil_rat(-(mu - 1) / s) - 1
+    scale, offset, den = _integer_form(p)
+    s = scale - den
+    if s == 0:
+        return IntegerSet.all_integers() if 0 <= offset < den else IntegerSet.empty()
+    if s > 0:
+        lo, hi = -(offset // s), -((offset - den) // s) - 1
     else:
-        lo = floor_rat(-(mu - 1) / s) + 1
-        hi = floor_rat(-mu / s)
+        lo, hi = (offset - den) // -s + 1, offset // -s
     return IntegerSet.run(lo, hi) if lo <= hi else IntegerSet.empty()
 
 
 def count_fixed_points(p: Params) -> CountValue:
-    """Number of fixed points, from the counting formula (not by listing).
+    """Number of fixed points: the size of the run :func:`fixed_points`
+    delimits (hi - lo + 1, 0 when inverted, infinite at lam = 1 with
+    0 <= mu < 1), in O(1) and without listing."""
+    return fixed_points(p).size()
 
-        lam > 1 : max(0, ceil(-(mu-1)/(lam-1)) - ceil(-mu/(lam-1)))
-        lam = 1 : infinite when 0 <= mu < 1, else 0
-        lam < 1 : max(0, floor(-mu/(lam-1)) - floor(-(mu-1)/(lam-1)))
+
+def _two_cycle_runs(p: Params) -> Iterator[tuple[int, int, int]]:
+    """Yield (k, x_lo, x_hi): the pairs {x, x + k} with x in x_lo .. x_hi
+    are exactly the 2-cycles of gap k; lam = -1 is excluded.
+
+    f(x) = x + k and f(x + k) = x say 0 <= s*x + offset - den*k < den and
+    0 <= s*x + offset + scale*k < den (s = scale - den). Subtracting them
+    gives |scale + den|*k < den, i.e. |lam + 1|*k < 1, so the gap is
+    bounded by k_hi = (den - 1) // |scale + den| and no k exists when
+    lam >= 0 or lam <= -2. For lam < 0 one has s < 0, and intersecting the
+    two bands of s*x gives one floor-delimited run per k:
+
+        x_lo = (den + min(den, -scale)*k - offset) // s + 1
+        x_hi = (max(den, -scale)*k - offset) // s
+
+    For -1 < lam < 0 these read floor((-lam*k - mu + 1)/(lam-1)) + 1 ..
+    floor((k - mu)/(lam-1)); for -2 < lam < -1, floor((k + 1 - mu)/(lam-1))
+    + 1 .. floor((-lam*k - mu)/(lam-1)). Inverted x-runs are yielded too:
+    they are how the counting formula encodes an empty k-slot.
     """
-    lam, mu = p.lam, p.mu
-    if lam == 1:
-        return CountValue.infinite() if 0 <= mu < 1 else CountValue.finite(0)
-    s = lam - 1
-    if lam > 1:
-        n = ceil_rat(-(mu - 1) / s) - ceil_rat(-mu / s)
-    else:
-        n = floor_rat(-mu / s) - floor_rat(-(mu - 1) / s)
-    return CountValue.finite(max(0, n))
+    scale, offset, den = _integer_form(p)
+    s = scale - den
+    near, far = min(den, -scale), max(den, -scale)
+    for k in range(1, (den - 1) // abs(scale + den) + 1):
+        yield k, (den + near * k - offset) // s + 1, (far * k - offset) // s
 
 
 def two_cycles(p: Params) -> TwoCycleSet:
     """Exact 2-cycle set {{x, f(x)} : f(x) != x and f(f(x)) = x}.
 
-    A pair {x, x + k} (k >= 1) closes up only when |lam + 1|*k < 1, so the
-    gap k is bounded and each k contributes one floor-delimited run of x:
-
-        -1 < lam < 0  : k = 1 .. ceil(1/(lam+1)) - 1,
-                        x in floor((-lam*k - mu + 1)/(lam-1)) + 1
-                             .. floor((k - mu)/(lam-1))
-        lam = -1      : the symbolic family {x, floor(mu) - x} over x in Z
-        -2 < lam < -1 : k = 1 .. -floor(1/(lam+1)) - 1,
-                        x in floor((k + 1 - mu)/(lam-1)) + 1
-                             .. floor((-lam*k - mu)/(lam-1))
-        lam <= -2 or lam >= 0 : none
-
-    Inverted x-runs contribute nothing (they are how the counting formula
-    encodes an empty k-slot, not an error).
+    lam = -1 gives the symbolic family {x, floor(mu) - x} over x in Z,
+    because f(x) = floor(mu) - x there; every other slope gives the finite
+    union of the runs of :func:`_two_cycle_runs` (none for lam <= -2 or
+    lam >= 0).
     """
-    lam, mu = p.lam, p.mu
-    if lam >= 0 or lam <= -2:
-        return TwoCycleSet.finite([])
-    if lam == -1:
-        return TwoCycleSet.neg_one_family(floor_rat(mu))
-    s = lam - 1
-    pairs: list[tuple[int, int]] = []
-    if lam > -1:
-        k_hi = ceil_rat(1 / (lam + 1)) - 1
-        for k in range(1, k_hi + 1):
-            x_lo = floor_rat((-lam * k - mu + 1) / s) + 1
-            x_hi = floor_rat((k - mu) / s)
-            pairs.extend((x, x + k) for x in range(x_lo, x_hi + 1))
-    else:
-        k_hi = -floor_rat(1 / (lam + 1)) - 1
-        for k in range(1, k_hi + 1):
-            x_lo = floor_rat((k + 1 - mu) / s) + 1
-            x_hi = floor_rat((-lam * k - mu) / s)
-            pairs.extend((x, x + k) for x in range(x_lo, x_hi + 1))
-    return TwoCycleSet.finite(pairs)
+    if p.lam == -1:
+        return TwoCycleSet.neg_one_family(p.mu.numerator // p.mu.denominator)
+    return TwoCycleSet.finite(
+        (x, x + k) for k, x_lo, x_hi in _two_cycle_runs(p) for x in range(x_lo, x_hi + 1)
+    )
 
 
 def count_two_cycles(p: Params) -> CountValue:
-    """Number of 2-cycles, from the summation formula (not by listing)."""
-    lam, mu = p.lam, p.mu
-    if lam >= 0 or lam <= -2:
-        return CountValue.finite(0)
-    if lam == -1:
+    """Number of 2-cycles, from the summation formula (not by listing):
+    the sum over the gaps k of max(0, x_hi - x_lo + 1), infinite at lam = -1.
+    Costs O(k_hi) with k_hi < 1/|lam + 1|."""
+    if p.lam == -1:
         return CountValue.infinite()
-    s = lam - 1
-    total = 0
-    if lam > -1:
-        k_hi = ceil_rat(1 / (lam + 1)) - 1
-        for k in range(1, k_hi + 1):
-            total += max(0, floor_rat((k - mu) / s) - floor_rat((-lam * k - mu + 1) / s))
-    else:
-        k_hi = -floor_rat(1 / (lam + 1)) - 1
-        for k in range(1, k_hi + 1):
-            total += max(0, floor_rat((-lam * k - mu) / s) - floor_rat((k + 1 - mu) / s))
-    return CountValue.finite(total)
+    return CountValue.finite(sum(max(0, x_hi - x_lo + 1) for _, x_lo, x_hi in _two_cycle_runs(p)))

@@ -150,6 +150,33 @@ def test_usage_error_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+_SCAN = ["scan", "--target", "fix", "--mu-range", "0..0", "--mu-step", "1", "--x-window", "-1..1"]
+_VERIFY = ["verify", "--mu-range", "0..0", "--mu-step", "1", "--window", "-1..1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--lambda", "1/2", "--mu", "0", "--x", "1", "--steps", "-1"],
+        _SCAN + ["--lambda-range", "0..1", "--lambda-step", "0"],
+        _SCAN + ["--lambda-range", "1..0", "--lambda-step", "1"],
+        ["scan", "--target", "fix", "--lambda-range", "0..0", "--lambda-step", "1",
+         "--mu-range", "0..0", "--mu-step", "-1/2", "--x-window", "-1..1"],
+        _VERIFY + ["--lambda-range", "0..1", "--lambda-step", "1", "--samples", "-3"],
+        _VERIFY + ["--lambda-range", "1..0", "--lambda-step", "1"],
+    ],
+    ids=["orbit-negative-steps", "scan-zero-step", "scan-reversed-range", "scan-negative-mu-step",
+         "verify-negative-samples", "verify-reversed-range"],
+)
+def test_out_of_range_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "error: argument --" in captured.err
+
+
 def test_repeated_invocations_are_identical(capsys):
     _, first = run(capsys, "cycles", "--lambda", "-13/10", "--mu", "-9/5")
     _, second = run(capsys, "cycles", "--lambda", "-13/10", "--mu", "-9/5")
