@@ -153,9 +153,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     writer = write_csv if args.format == "csv" else write_jsonl
     if args.out is None:
         writer(sweep(spec), sys.stdout)
-    else:
-        with open(args.out, "w", newline="") as out:
-            writer(sweep(spec), out)
+        return 0
+    try:
+        out = open(args.out, "w", newline="")
+    except OSError as exc:
+        print(f"quasiaffine scan: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out:
+        writer(sweep(spec), out)
     return 0
 
 
@@ -194,6 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--lambda", dest="lam", type=_rational, required=True, metavar="P/Q")
         sp.add_argument("--mu", type=_rational, required=True, metavar="P/Q")
 
+    def grid_flags(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--lambda-range", type=_rational_range, required=True, metavar="A..B")
+        sp.add_argument("--lambda-step", type=_positive_rational, required=True, metavar="P/Q")
+        sp.add_argument("--mu-range", type=_rational_range, required=True, metavar="A..B")
+        sp.add_argument("--mu-step", type=_positive_rational, required=True, metavar="P/Q")
+
     sp = sub.add_parser("fix", help="fixed-point set")
     map_flags(sp)
     sp.set_defaults(handler=_cmd_fix)
@@ -220,20 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scan", help="bifurcation-diagram sweep to CSV/JSONL")
     sp.add_argument("--target", choices=[t.value for t in SweepTarget], required=True)
-    sp.add_argument("--lambda-range", type=_rational_range, required=True, metavar="A..B")
-    sp.add_argument("--lambda-step", type=_positive_rational, required=True, metavar="P/Q")
-    sp.add_argument("--mu-range", type=_rational_range, required=True, metavar="A..B")
-    sp.add_argument("--mu-step", type=_positive_rational, required=True, metavar="P/Q")
+    grid_flags(sp)
     sp.add_argument("--x-window", type=_window, required=True, metavar="LO..HI")
     sp.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
     sp.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     sp.set_defaults(handler=_cmd_scan)
 
     sp = sub.add_parser("verify", help="closed forms vs brute force on a parameter grid")
-    sp.add_argument("--lambda-range", type=_rational_range, required=True, metavar="A..B")
-    sp.add_argument("--lambda-step", type=_positive_rational, required=True, metavar="P/Q")
-    sp.add_argument("--mu-range", type=_rational_range, required=True, metavar="A..B")
-    sp.add_argument("--mu-step", type=_positive_rational, required=True, metavar="P/Q")
+    grid_flags(sp)
     sp.add_argument("--window", type=_window, required=True, metavar="LO..HI")
     sp.add_argument("--samples", type=_non_negative_int, default=5, help="random start points per grid cell")
     sp.add_argument("--seed", type=int, default=0)

@@ -1,13 +1,14 @@
 """Exact limit-set classification for f(x) = floor(lam*x + mu).
 
 The limit set of any forward orbit here is one of: a single fixed point,
-a 2-cycle, {+inf}, {-inf}, or {-inf, +inf}. For lam >= 0, at lam = -1,
-and for starts that land on a fixed point, the answer has a closed form
-in the integer z = f(x) and the parameters. The remaining negative-slope
-starts are settled by an exact decision procedure on the (monotone
-non-decreasing) second iterate: its integer orbit either stops on a
-periodic point or strictly passes every periodic point of the map, after
-which it can never return. No tolerances, no iteration caps.
+a 2-cycle, {+inf}, {-inf}, or {-inf, +inf}. For lam >= 0 and at
+lam = -1 the answer has a closed form in the integer z = f(x) and the
+parameters. The remaining negative-slope starts are settled by an exact
+decision procedure on the (monotone non-decreasing) second iterate: its
+integer orbit either stops on a periodic point or strictly passes every
+periodic point of the map, after which it can never return. A start that
+lands on the fixed point is answered by the procedure's first step. No
+tolerances, no iteration caps.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Params, Rational, RationalLike, _integer_form, eval_map, floor_rat, integer_step
-from .periodic import _two_cycle_runs, fixed_points
+from .periodic import fixed_points
 
 
 @dataclass(frozen=True)
@@ -191,27 +192,37 @@ def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
     the limiting 2-cycle) or, once it strictly passes every periodic
     point in its direction of travel, can never stop: the even iterates
     run to one infinity and the odd ones to the other. Both outcomes are
-    reached in finitely many steps, so no iteration cap is needed. A start
-    whose image z is the fixed point has already stopped and is answered
-    before any bound is taken.
+    reached in finitely many steps, so no iteration cap is needed.
 
-    The bound on |periodic point| is taken run by run: the members of the
-    pairs {x, x + k}, x in x_lo .. x_hi, lie in x_lo .. x_hi + k and include
-    both ends, so max(|x_lo|, |x_hi + k|) is their largest magnitude.
+    Every periodic point u lies in bottom .. top, two integer thresholds
+    on the integer form f(z) = (scale*z + offset) // den:
+
+      - s = den - scale > 0 as lam < 0, and t = den + scale has the sign
+        of 1 - |lam|, nonzero as lam != -1;
+      - p* = mu/(1 - lam) = offset/s satisfies lam*p* + mu = p*, so with
+        u' = u - p* one step is f(u) - p* = lam*u' - e1, e1 in [0, 1);
+      - two steps around a 2-cycle {u, v} give u' = lam*(lam*u' - e1) - e2,
+        so u'(1 - lam^2) = |lam|*e1 - e2 lies in (-1, |lam|); a fixed
+        point is the case v = u;
+      - (1 - lam^2)*den^2 = s*t, u'*s = s*u - offset and |lam|*den = -scale,
+        so times den^2: -den^2 < (s*u - offset)*t < -scale*den;
+      - with a = offset*t - den^2 and b = offset*t - scale*den this reads
+        a < s*t*u < b, i.e. lo < s*|t|*u < hi with (lo, hi) = (a, b) for
+        t > 0 and (-b, -a) for t < 0;
+      - the integers strictly inside are bottom = lo // (s*|t|) + 1 up to
+        top = (hi - 1) // (s*|t|).
     """
     lam = p.lam
     if lam >= 0:
         raise ValueError("resolution procedure requires lambda < 0")
     if lam == -1:
         raise ValueError("lambda = -1 is answered in closed form, not by iteration")
+    scale, offset, den = _integer_form(p)
+    s, t = den - scale, den + scale
+    a, b = offset * t - den * den, offset * t - scale * den
+    lo, hi = (a, b) if t > 0 else (-b, -a)
+    bottom, top = lo // (s * abs(t)) + 1, (hi - 1) // (s * abs(t))
     z = eval_map(p, x)
-    fs = fixed_points(p)
-    if z in fs:
-        return OmegaLimit.fixed(z)
-    bound = max(abs(fs.lo), abs(fs.hi)) if fs.kind == "range" else 0
-    for k, x_lo, x_hi in _two_cycle_runs(p):
-        if x_lo <= x_hi:
-            bound = max(bound, abs(x_lo), abs(x_hi + k))
     step = integer_step(p)
     while True:
         w = step(step(z))
@@ -220,6 +231,6 @@ def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
             if fz == z:
                 return OmegaLimit.fixed(z)
             return OmegaLimit.two_cycle(min(z, fz), max(z, fz))
-        if (w > z and w > bound) or (w < z and w < -bound):
+        if (w > z and w > top) or (w < z and w < bottom):
             return OmegaLimit.plus_minus_inf()
         z = w

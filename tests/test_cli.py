@@ -177,6 +177,15 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     assert "Traceback" not in captured.err and "error: argument --" in captured.err
 
 
+@pytest.mark.parametrize("out", ["missing/f.csv", "."], ids=["scan-out-missing-dir", "scan-out-is-a-directory"])
+def test_unwritable_scan_output_is_a_usage_error(capsys, tmp_path, out):
+    code = main(_SCAN + ["--lambda-range", "0..0", "--lambda-step", "1", "--out", str(tmp_path / out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("quasiaffine scan: error: ") and captured.err.count("\n") == 1
+
+
 def test_repeated_invocations_are_identical(capsys):
     _, first = run(capsys, "cycles", "--lambda", "-13/10", "--mu", "-9/5")
     _, second = run(capsys, "cycles", "--lambda", "-13/10", "--mu", "-9/5")

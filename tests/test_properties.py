@@ -1,6 +1,8 @@
 """Seeded property checks of the closed forms against the brute-force oracle
 in regions the grid tests never reach: slopes lam = +-(n+-1)/n with n up
-to 1000 (so |lam| sits within 1/n of 1) and mu with denominators up to 10^4.
+to 1000 (so |lam| sits within 1/n of 1) and mu with denominators up to 10^4;
+for the limit sets also negative slopes with n up to 10^4 and |mu| up to
+10^6 started next to p*, and starts as large as 10^100.
 
 Every periodic point z satisfies |z - p*| <= 1/||lam| - 1| + 1 with
 p* = mu/(1 - lam):
@@ -77,6 +79,20 @@ def test_periodic_sets_and_counts_match_the_oracle_unclipped(lam, mu):
     assert count_two_cycles(p) == tc.size() == CountValue.finite(len(brute_pairs))
 
 
+def _escape_bound(p: Params, x: Q) -> int:
+    """Beyond this every orbit has left the periodic region for good, so an
+    iterate past it is a genuine escape; below it, starts cannot fake one.
+    A contracting orbit stays within |x - p*| + r of p*, so below
+    |x| + 2|p*| + r: the 2|x| + 2 term covers it for huge starts."""
+    centre, r = p.mu / (1 - p.lam), _radius(p)
+    return max(10 * (math.ceil(abs(centre) + r) + 10**4), 2 * math.ceil(abs(x)) + 2)
+
+
+def _assert_omega_matches_iteration(p: Params, x: Q) -> None:
+    observed = brute_omega(p, x, max_steps=10**6, escape_bound=_escape_bound(p, x))
+    assert omega_limit(p, x) == observed
+
+
 @SEEDED
 @given(lam=slopes, mu=_rationals(10**4, 50), data=st.data())
 def test_omega_limit_matches_iteration(lam, mu, data):
@@ -85,8 +101,32 @@ def test_omega_limit_matches_iteration(lam, mu, data):
     # starts among the periodic points, where the decisions are tight, and far out
     near = _rationals(100, math.ceil(r) + 1).map(lambda t: centre + t).filter(lambda x: abs(x) <= 10**4)
     x = data.draw(near | _rationals(100, 10**4) if abs(centre) < 10**4 else _rationals(100, 10**4))
-    # beyond this every orbit has left the periodic region for good, so an
-    # iterate past it is a genuine escape; below it, starts cannot fake one
-    escape = 10 * (math.ceil(abs(centre) + r) + 10**4)
-    observed = brute_omega(p, x, max_steps=10**6, escape_bound=escape)
-    assert omega_limit(p, x) == observed
+    _assert_omega_matches_iteration(p, x)
+
+
+@settings(SEEDED, max_examples=150)
+@given(
+    lam=st.builds(lambda n, off: -Q(n + off, n), st.integers(2, 10**4), st.sampled_from([-1, 1])),
+    mu=_rationals(10**4, 10**6),
+    t=_rationals(100, 1),
+)
+def test_omega_limit_next_to_the_affine_fixed_point(lam, mu, t):
+    # resolve_negative bounds the periodic points by an interval around p*,
+    # not around 0, so with |mu| large the starts that probe its ends are
+    # those within r + 1 of p*
+    p = Params(lam, mu)
+    _assert_omega_matches_iteration(p, p.mu / (1 - p.lam) + (_radius(p) + 1) * t)
+
+
+@settings(SEEDED, max_examples=150)
+@given(
+    lam=st.one_of(
+        st.builds(lambda sign, n: sign * Q(n + 1, n), st.sampled_from([-1, 1]), st.integers(1, 1000)),
+        st.builds(lambda sign, n: sign * Q(n - 1, n), st.sampled_from([-1, 1]), st.integers(1, 30)),
+    ),
+    mu=_rationals(10**4, 10**6),
+    x=st.builds(lambda sign, k, frac: sign * 10**k + frac, st.sampled_from([-1, 1]), st.integers(0, 100), _rationals(100, 1)),
+)
+def test_omega_limit_from_huge_starts(lam, mu, x):
+    # contracting slopes need about n*log|x| steps to come in, so n stays small there
+    _assert_omega_matches_iteration(Params(lam, mu), x)
