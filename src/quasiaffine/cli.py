@@ -1,13 +1,20 @@
 """Command-line surface. Every subcommand is a thin adapter over the
 library: parse flags, call one function, render JSON (default) or plain
 text (--plain). Exit status: 0 success (and agreement for verify),
-1 verifier disagreement, 2 usage error.
+1 verifier disagreement, 2 usage error, 141 (128 + SIGPIPE) when stdout
+is closed before the output is written.
+
+`main` can be called repeatedly in one process: it builds one argparse
+parser on its first call and reuses it, since parsing leaves no state in
+the parser and help and usage text are rendered when they are printed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import random
 import re
 import sys
@@ -155,12 +162,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         writer(sweep(spec), sys.stdout)
         return 0
     try:
-        out = open(args.out, "w", newline="")
+        with open(args.out, "w", newline="") as out:
+            writer(sweep(spec), out)
     except OSError as exc:
         print(f"quasiaffine scan: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
-    with out:
-        writer(sweep(spec), out)
     return 0
 
 
@@ -247,10 +253,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the status a shell reports for a process killed by SIGPIPE
+_EXIT_BROKEN_PIPE = 141
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, not at import, so importing the module stays cheap
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        try:
+            args = _parser().parse_args(argv)
+            return args.handler(args)
+        finally:
+            # a reader that closed early shows up here, not at interpreter exit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        return _EXIT_BROKEN_PIPE
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    status = main()
+    if status == _EXIT_BROKEN_PIPE:
+        # the unwritten output would fail again in the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(status)

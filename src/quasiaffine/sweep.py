@@ -87,20 +87,34 @@ def sweep(spec: SweepSpec) -> Iterator[SweepRow]:
 
 
 def write_csv(rows: Iterable[SweepRow], out: TextIO) -> int:
-    """Write "lambda,mu,x" then one line per row; returns the row count."""
+    """Write "lambda,mu,x" then one line per row; returns the row count.
+
+    The "lambda,mu," text is formatted once per run of rows with equal
+    (lam, mu), so a cell costs its formatting once plus a write per row.
+    """
     out.write("lambda,mu,x\n")
     n = 0
+    cell = None
     for row in rows:
-        out.write(f"{format_rational(row.lam)},{format_rational(row.mu)},{row.x}\n")
+        if (row.lam, row.mu) != cell:
+            cell = (row.lam, row.mu)
+            prefix = f"{format_rational(row.lam)},{format_rational(row.mu)},"
+        out.write(f"{prefix}{row.x}\n")
         n += 1
     return n
 
 
 def write_jsonl(rows: Iterable[SweepRow], out: TextIO) -> int:
-    """One {"lambda": "p/q", "mu": "p/q", "x": n} object per line."""
+    """One {"lambda": "p/q", "mu": "p/q", "x": n} object per line; returns
+    the row count. As in `write_csv`, each run of rows with equal (lam, mu)
+    is encoded once, up to the x value."""
     n = 0
+    cell = None
     for row in rows:
-        obj = {"lambda": format_rational(row.lam), "mu": format_rational(row.mu), "x": row.x}
-        out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        if (row.lam, row.mu) != cell:
+            cell = (row.lam, row.mu)
+            obj = {"lambda": format_rational(row.lam), "mu": format_rational(row.mu), "x": None}
+            prefix = json.dumps(obj, separators=(",", ":"))[: -len("null}")]
+        out.write(f"{prefix}{row.x}}}\n")
         n += 1
     return n

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -177,13 +181,62 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
     assert "Traceback" not in captured.err and "error: argument --" in captured.err
 
 
-@pytest.mark.parametrize("out", ["missing/f.csv", "."], ids=["scan-out-missing-dir", "scan-out-is-a-directory"])
+@pytest.mark.parametrize(
+    "out",
+    [
+        "missing/f.csv",
+        ".",
+        # opens fine; the write fails when the file is flushed on close
+        pytest.param("/dev/full", marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")),
+    ],
+    ids=["scan-out-missing-dir", "scan-out-is-a-directory", "scan-out-write-fails"],
+)
 def test_unwritable_scan_output_is_a_usage_error(capsys, tmp_path, out):
     code = main(_SCAN + ["--lambda-range", "0..0", "--lambda-step", "1", "--out", str(tmp_path / out)])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("quasiaffine scan: error: ") and captured.err.count("\n") == 1
+
+
+def test_scan_into_a_closed_pipe_exits_141_silently():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = ["scan", "--target", "per2", "--lambda-range", "-1..-1", "--lambda-step", "1",
+            "--mu-range", "0..200", "--mu-step", "1", "--x-window", "-1000..1000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from quasiaffine.cli import entrypoint; entrypoint()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"lambda,mu,x\n"
+    proc.stdout.close()  # the rest of the ~4 MB is never read
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def _outcome(capsys, argv: list[str]) -> tuple[object, str, str]:
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+def test_reused_parser_is_order_independent(capsys):
+    sequence = [
+        ["fix", "--lambda", "3/2"],
+        ["--help"],
+        ["scan", "--help"],
+        _SCAN + ["--lambda-range", "-1..1", "--lambda-step", "1/2"],
+        _VERIFY + ["--lambda-range", "0..1", "--lambda-step", "1/2"],
+        ["--plain", "fix", "--lambda", "3/2", "--mu", "13/10"],
+    ]
+    cli._parser.cache_clear()
+    forward = [_outcome(capsys, argv) for argv in sequence]
+    backward = [_outcome(capsys, argv) for argv in reversed(sequence)][::-1]
+    assert forward == backward
+    assert [status for status, _, _ in forward] == [2, 0, 0, 0, 0, 0]
 
 
 def test_repeated_invocations_are_identical(capsys):

@@ -16,6 +16,7 @@ from quasiaffine import (
     Window,
     brute_fixed_points,
     eval_map,
+    format_rational,
     grid_values,
     integer_step,
     sweep,
@@ -113,6 +114,18 @@ def test_invalid_specs_are_rejected():
         spec_for(Q(0), Q(1), Q(1), Q(0), Q(0), Q(-1, 2), Window(-1, 1), SweepTarget.FIXED_POINTS)
 
 
+# the cell changes in mu only, then in lam only, and (1/2, 1/3) comes back
+# after a different cell; equal values arrive as distinct objects
+_CELL_CHANGES = [
+    SweepRow(Q(1, 2), Q(1, 3), 0),
+    SweepRow(Q(1, 2), Q(1, 3), 5),
+    SweepRow(Q(1, 2), Q(2, 3), -1),
+    SweepRow(Q(-1, 2), Q(2, 3), -1),
+    SweepRow(Q(1, 2), Q(1, 3), 10**30),
+    SweepRow(Q(2, 4), Q(2, 6), -3),
+]
+
+
 def test_write_csv_contract():
     buf = io.StringIO()
     assert write_csv([], buf) == 0
@@ -121,6 +134,10 @@ def test_write_csv_contract():
     n = write_csv([SweepRow(Q(3, 2), Q(13, 10), -1)], buf)
     assert n == 1
     assert buf.getvalue() == "lambda,mu,x\n3/2,13/10,-1\n"
+    buf = io.StringIO()
+    assert write_csv(_CELL_CHANGES, buf) == len(_CELL_CHANGES)
+    want = "".join(f"{format_rational(r.lam)},{format_rational(r.mu)},{r.x}\n" for r in _CELL_CHANGES)
+    assert buf.getvalue() == "lambda,mu,x\n" + want
 
 
 def test_write_jsonl_contract():
@@ -130,6 +147,14 @@ def test_write_jsonl_contract():
     lines = buf.getvalue().splitlines()
     assert json.loads(lines[0]) == {"lambda": "3/2", "mu": "13/10", "x": -1}
     assert json.loads(lines[1]) == {"lambda": "-1", "mu": "0", "x": 4}
+    buf = io.StringIO()
+    assert write_jsonl(_CELL_CHANGES, buf) == len(_CELL_CHANGES)
+    want = "".join(
+        json.dumps({"lambda": format_rational(r.lam), "mu": format_rational(r.mu), "x": r.x}, separators=(",", ":"))
+        + "\n"
+        for r in _CELL_CHANGES
+    )
+    assert buf.getvalue() == want
 
 
 def test_identical_specs_give_identical_bytes():
