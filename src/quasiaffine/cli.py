@@ -256,28 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
 # the status a shell reports for a process killed by SIGPIPE
 _EXIT_BROKEN_PIPE = 141
 
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on first use, not at import, so importing the module stays cheap
-    return build_parser()
+# built on the first `main` call, not at import, so importing the module stays cheap
+_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        try:
-            args = _parser().parse_args(argv)
-            return args.handler(args)
-        finally:
-            # a reader that closed early shows up here, not at interpreter exit
-            sys.stdout.flush()
-    except BrokenPipeError:
-        return _EXIT_BROKEN_PIPE
+    args = _parser().parse_args(argv)
+    return args.handler(args)
 
 
 def entrypoint() -> None:
-    status = main()
-    if status == _EXIT_BROKEN_PIPE:
+    try:
+        try:
+            status = main()
+        except SystemExit as exc:  # argparse exits on --help and on usage errors
+            status = exc.code
+        # a reader that closed early shows up here, not at interpreter exit
+        sys.stdout.flush()
+    except BrokenPipeError:
         # the unwritten output would fail again in the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = _EXIT_BROKEN_PIPE
     raise SystemExit(status)

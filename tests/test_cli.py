@@ -199,17 +199,34 @@ def test_unwritable_scan_output_is_a_usage_error(capsys, tmp_path, out):
     assert captured.err.startswith("quasiaffine scan: error: ") and captured.err.count("\n") == 1
 
 
-def test_scan_into_a_closed_pipe_exits_141_silently():
+def _entrypoint(argv: list[str], stdout) -> subprocess.Popen:
     src = Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as when run from a shell
+    return subprocess.Popen(
+        [sys.executable, "-c", "from quasiaffine.cli import entrypoint; entrypoint()", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+def test_scan_into_a_closed_pipe_exits_141_silently():
     argv = ["scan", "--target", "per2", "--lambda-range", "-1..-1", "--lambda-step", "1",
             "--mu-range", "0..200", "--mu-step", "1", "--x-window", "-1000..1000"]
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "from quasiaffine.cli import entrypoint; entrypoint()", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
+    proc = _entrypoint(argv, subprocess.PIPE)
     assert proc.stdout.readline() == b"lambda,mu,x\n"
     proc.stdout.close()  # the rest of the ~4 MB is never read
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_help_into_a_pipe_without_reader_exits_141_silently():
+    # argparse leaves through SystemExit; the help text is still unwritten then
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _entrypoint(["--help"], write_end)
+    finally:
+        os.close(write_end)
     _, err = proc.communicate(timeout=60)
     assert (proc.returncode, err) == (141, b"")
 
