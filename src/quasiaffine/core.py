@@ -6,6 +6,8 @@ anywhere, so all threshold comparisons are decidable and exact. The map
 sends all of Q into Z, which means an orbit is a single rational start
 followed by a purely integer tail; inside, the closed forms and the
 iteration run on the integer form of the map (:func:`_integer_form`).
+:func:`eval_map` is that form applied to x = xn/xd, so once Params and
+x exist, no Fraction arithmetic is left on the way to an answer.
 """
 
 from __future__ import annotations
@@ -86,8 +88,15 @@ def eval_affine(p: Params, x: RationalLike) -> Rational:
 
 
 def eval_map(p: Params, x: RationalLike) -> int:
-    """One application of f; the result is always an integer."""
-    return floor_rat(eval_affine(p, x))
+    """One application of f; the result is always an integer.
+
+    The integer form of :func:`_integer_form` at x = xn/xd (xd > 0):
+    f(x) = (scale*xn + offset*xd) // (den*xd), one exact floor and no gcd,
+    equal to floor_rat(eval_affine(p, x)).
+    """
+    xn, xd = as_rational(x).as_integer_ratio()
+    scale, offset, den = _integer_form(p)
+    return (scale * xn + offset * xd) // (den * xd)
 
 
 def _integer_form(p: Params) -> tuple[int, int, int]:
@@ -97,8 +106,8 @@ def _integer_form(p: Params) -> tuple[int, int, int]:
     integers, since Python's ``//`` floors toward -inf; den > 0, so every
     threshold on f keeps its direction.
     """
-    a, b = p.lam.numerator, p.lam.denominator
-    c, d = p.mu.numerator, p.mu.denominator
+    a, b = p.lam.as_integer_ratio()
+    c, d = p.mu.as_integer_ratio()
     return a * d, c * b, b * d
 
 

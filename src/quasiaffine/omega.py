@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Params, Rational, RationalLike, _integer_form, eval_map, floor_rat, integer_step
+from .core import Params, Rational, RationalLike, _integer_form, eval_map, integer_step
 from .periodic import fixed_points
 
 
@@ -99,9 +99,9 @@ def floor_affine_fixpoint(p: Params) -> int:
     inducing affine map (lam != 1). For lam < 0 every image of f is this
     value plus a slab index. Clearing b*d turns it into
     offset // (den - scale) on the integer form of the map."""
-    if p.lam == 1:
-        raise ValueError("the affine map has no unique fixed point at lambda = 1")
     scale, offset, den = _integer_form(p)
+    if scale == den:
+        raise ValueError("the affine map has no unique fixed point at lambda = 1")
     return offset // (den - scale)
 
 
@@ -161,24 +161,33 @@ def omega_limit(p: Params, x: RationalLike) -> OmegaLimit:
         else -inf.
 
     Every other negative-slope start is settled by :func:`resolve_negative`.
+
+    The regime is picked by integer tests on the integer form
+    f(z) = (scale*z + offset) // den of :func:`_integer_form`
+    (lam = scale/den and mu = offset/den with den > 0):
+
+      lam < 0  <=> scale < 0           lam = -1 <=> scale = -den
+      lam < 1  <=> scale < den         lam = 1  <=> scale = den
+      mu >= 1  <=> offset >= den       floor(mu) = offset // den
+      floor_affine_fixpoint(p) = offset // (den - scale)
     """
-    lam = p.lam
-    if lam < 0 and lam != -1:
+    scale, offset, den = _integer_form(p)
+    if scale < 0 and scale != -den:
         return resolve_negative(p, x)
     z = eval_map(p, x)
-    if lam == -1:
-        partner = floor_rat(p.mu) - z
+    if scale == -den:
+        partner = offset // den - z
         if partner == z:
             return OmegaLimit.fixed(z)
         return OmegaLimit.two_cycle(min(z, partner), max(z, partner))
     fs = fixed_points(p)
-    if lam < 1:
+    if scale < den:
         return OmegaLimit.fixed(min(max(z, fs.lo), fs.hi))
     if z in fs:
         return OmegaLimit.fixed(z)
-    if lam == 1:
-        return OmegaLimit.plus_inf() if p.mu >= 1 else OmegaLimit.minus_inf()
-    return OmegaLimit.plus_inf() if z > floor_affine_fixpoint(p) else OmegaLimit.minus_inf()
+    if scale == den:
+        return OmegaLimit.plus_inf() if offset >= den else OmegaLimit.minus_inf()
+    return OmegaLimit.plus_inf() if z > offset // (den - scale) else OmegaLimit.minus_inf()
 
 
 def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
@@ -212,12 +221,11 @@ def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
       - the integers strictly inside are bottom = lo // (s*|t|) + 1 up to
         top = (hi - 1) // (s*|t|).
     """
-    lam = p.lam
-    if lam >= 0:
-        raise ValueError("resolution procedure requires lambda < 0")
-    if lam == -1:
-        raise ValueError("lambda = -1 is answered in closed form, not by iteration")
     scale, offset, den = _integer_form(p)
+    if scale >= 0:
+        raise ValueError("resolution procedure requires lambda < 0")
+    if scale == -den:
+        raise ValueError("lambda = -1 is answered in closed form, not by iteration")
     s, t = den - scale, den + scale
     a, b = offset * t - den * den, offset * t - scale * den
     lo, hi = (a, b) if t > 0 else (-b, -a)

@@ -129,11 +129,14 @@ class TwoCycleSet:
         if self.kind == "finite":
             if self.c is not None:
                 raise ValueError("finite set carries no family offset")
-            for a, b in self.pairs:
+            prev = None
+            for pair in self.pairs:
+                a, b = pair
                 if a >= b:
                     raise ValueError(f"pair ({a}, {b}) is not canonical (need a < b)")
-            if list(self.pairs) != sorted(set(self.pairs)):
-                raise ValueError("pairs must be sorted and duplicate-free")
+                if prev is not None and prev >= pair:
+                    raise ValueError("pairs must be sorted and duplicate-free")
+                prev = pair
         elif self.kind == "neg_one_family":
             if self.pairs or self.c is None:
                 raise ValueError("family requires offset c and no explicit pairs")

@@ -104,6 +104,8 @@ def test_as_rational_refuses_floats():
         as_rational(1.5)
     with pytest.raises(TypeError):
         Params(1.5, 0)
+    with pytest.raises(TypeError):
+        eval_map(Params(1, 0), 1.5)
 
 
 def test_params_coerces_strings_and_ints():

@@ -63,6 +63,9 @@ def test_interval_bounds_central_slab():
 def test_floor_affine_fixpoint_rejects_unit_slope():
     with pytest.raises(ValueError):
         floor_affine_fixpoint(Params(Q(1), Q(0)))
+    # one denominator step either side of 1: mu/(1 - lam) = -7/2 and 7/2
+    assert floor_affine_fixpoint(Params(Q(8, 7), Q(1, 2))) == -4
+    assert floor_affine_fixpoint(Params(Q(6, 7), Q(1, 2))) == 3
 
 
 def test_slab_identity_membership_and_uniqueness():
@@ -179,6 +182,8 @@ def test_sibling_cases_split_on_fixed_point_existence():
         (Q(-23, 10), Q(-14, 5), Q(0), OmegaLimit.plus_minus_inf()),
         (Q(-7, 10), Q(1, 2), Q(33, 10), OmegaLimit.two_cycle(-1, 1)),
         (Q(-7, 10), Q(1, 2), Q(1, 5), OmegaLimit.fixed(0)),
+        # z = -1 = floor(p*) is not fixed and lies below p* = -1/2
+        (Q(2), Q(1, 2), Q(-1, 2), OmegaLimit.minus_inf()),
     ],
 )
 def test_omega_limit_examples(lam, mu, x, expected):
@@ -209,6 +214,8 @@ def test_resolve_negative_examples(lam, mu, x, expected):
 def test_resolve_negative_rejects_out_of_scope_slopes():
     with pytest.raises(ValueError):
         resolve_negative(Params(Q(1, 2), Q(0)), Q(0))
+    with pytest.raises(ValueError, match="requires lambda < 0"):
+        resolve_negative(Params(Q(0), Q(1, 2)), Q(0))
     with pytest.raises(ValueError):
         resolve_negative(Params(Q(-1), Q(0)), Q(0))
 
@@ -290,6 +297,40 @@ def test_omega_limit_matches_observed_tails():
             assert tail[-1] < tail[-2] < tail[-3]
         else:
             assert tail[-1] * tail[-2] < 0 and abs(tail[-1]) > abs(tail[-3])
+
+
+# ------------------------------------------------- integer-only query path
+
+
+def test_queries_do_no_fraction_arithmetic(monkeypatch):
+    # one map per regime tag, plus a huge start at lam = -(n-1)/n; Params
+    # and starts are built first, so only the queries run under the patch
+    cases = [
+        (Params(Q(3, 2), Q(13, 10)), Q(-7, 5)),  # (i)
+        (Params(Q(5, 2), Q(13, 10)), Q(0)),  # (ii)
+        (Params(Q(1), Q(2)), Q(0)),  # (iii)
+        (Params(Q(13, 20), Q(3, 5)), Q(100)),  # (iv)
+        (Params(Q(0), Q(1)), Q(5, 7)),  # (v)
+        (Params(Q(-7, 10), Q(1, 2)), Q(33, 10)),  # (vi)
+        (Params(Q(-7, 10), Q(-1, 2)), Q(47, 20)),  # (vii)
+        (Params(Q(-1), Q(1, 2)), Q(5, 2)),  # (viii)
+        (Params(Q(-13, 10), Q(-4, 5)), Q(47, 20)),  # (ix)
+        (Params(Q(-99, 100), Q(3, 7)), Q(10**60) + Q(1, 3)),
+    ]
+    expected = [(eval_map(p, x), omega_limit(p, x)) for p, x in cases]
+    iterated = [p.lam < 0 and p.lam != -1 for p, _ in cases]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on the query path")
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__truediv__",
+                 "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Q, name, refuse)
+    for (p, x), (z, limit), negative in zip(cases, expected, iterated):
+        assert eval_map(p, x) == z
+        assert omega_limit(p, x) == limit
+        if negative:
+            assert resolve_negative(p, x) == limit
 
 
 # ------------------------------------------------------------------ the type

@@ -198,6 +198,12 @@ def test_two_cycle_set_canonicalisation():
         TwoCycleSet.finite([(3, 3)])
     with pytest.raises(ValueError):
         TwoCycleSet("finite", ((2, 1),))
+    # built directly, the tuple is validated, never re-sorted
+    with pytest.raises(ValueError):
+        TwoCycleSet("finite", ((1, 4), (-2, 0)))
+    with pytest.raises(ValueError):
+        TwoCycleSet("finite", ((-2, 0), (1, 4), (1, 4)))
+    assert TwoCycleSet("finite", ((-2, 0), (-2, 5), (1, 4))).size() == CountValue.finite(3)
     with pytest.raises(ValueError):
         TwoCycleSet("neg_one_family", ())
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,11 @@ from quasiaffine import (
     brute_two_cycles,
     count_fixed_points,
     count_two_cycles,
+    eval_affine,
+    eval_map,
     fixed_points,
+    floor_rat,
+    integer_step,
     omega_limit,
     two_cycles,
 )
@@ -62,6 +67,22 @@ def _periodic_window(p: Params) -> Window:
     return Window(math.floor(centre - r) - 1, math.ceil(centre + r) + 1)
 
 
+def _wide_rationals() -> st.SearchStrategy[Q]:
+    """Either sign, numerators up to 10^100, denominators up to 10^4."""
+    return st.builds(Q, st.integers(-(10**100), 10**100), st.integers(1, 10**4))
+
+
+@settings(SEEDED, max_examples=100)
+@given(lam=_wide_rationals(), mu=_wide_rationals(), x=_wide_rationals() | st.integers(-(10**100), 10**100).map(Q))
+def test_eval_map_matches_the_rational_definition(lam, mu, x):
+    # eval_map runs on the integer form; the definition floors lam*x + mu
+    p = Params(lam, mu)
+    want = floor_rat(eval_affine(p, x))
+    assert eval_map(p, x) == eval_map(p, str(x)) == want
+    if x.denominator == 1:
+        assert eval_map(p, int(x)) == integer_step(p)(int(x)) == want
+
+
 @SEEDED
 @given(lam=slopes, mu=_rationals(10**4, 50))
 def test_periodic_sets_and_counts_match_the_oracle_unclipped(lam, mu):
@@ -83,7 +104,13 @@ def _escape_bound(p: Params, x: Q) -> int:
     """Beyond this every orbit has left the periodic region for good, so an
     iterate past it is a genuine escape; below it, starts cannot fake one.
     A contracting orbit stays within |x - p*| + r of p*, so below
-    |x| + 2|p*| + r: the 2|x| + 2 term covers it for huge starts."""
+    |x| + 2|p*| + r: the 2|x| + 2 term covers it for huge starts.
+
+    At |lam| = 1 there is no such region: lam = -1 orbits are periodic
+    from their first integer on, and lam = 1 moves a non-fixed orbit by
+    floor(mu) != 0 each step, never back, so passing the start suffices."""
+    if abs(p.lam) == 1:
+        return 2 * math.ceil(abs(x)) + 2
     centre, r = p.mu / (1 - p.lam), _radius(p)
     return max(10 * (math.ceil(abs(centre) + r) + 10**4), 2 * math.ceil(abs(x)) + 2)
 
@@ -130,3 +157,20 @@ def test_omega_limit_next_to_the_affine_fixed_point(lam, mu, t):
 def test_omega_limit_from_huge_starts(lam, mu, x):
     # contracting slopes need about n*log|x| steps to come in, so n stays small there
     _assert_omega_matches_iteration(Params(lam, mu), x)
+
+
+@pytest.mark.parametrize("d", [2, 7, 1000])
+@pytest.mark.parametrize("side", [-1, 0, 1])
+@pytest.mark.parametrize("base", [-1, 0, 1])
+def test_omega_limit_at_the_regime_thresholds(base, side, d):
+    # omega_limit picks its rule by integer tests on scale, offset and den;
+    # lam one denominator step either side of -1, 0 and 1, and mu at 0, 1
+    # and one step below each, put every such test on both of its sides.
+    # Starts are every integer in -5..5 and every fifth one out to +-50,
+    # not all 101: at lam = +-1001/1000 each escape takes thousands of
+    # oracle steps.
+    lam = base + Q(side, d)
+    for mu in (Q(0), Q(1), 1 - Q(1, d), -Q(1, d)):
+        p = Params(lam, mu)
+        for x in sorted({*range(-50, 51, 5), *range(-5, 6)}):
+            _assert_omega_matches_iteration(p, Q(x))
