@@ -266,6 +266,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # orbits grow geometrically and starts may be long: lift the interpreter's
+    # cap on int <-> str conversion, which `main` leaves to its host process
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         try:
             status = main()

@@ -1,13 +1,13 @@
 """Exact limit-set classification for f(x) = floor(lam*x + mu).
 
 The limit set of any forward orbit here is one of: a single fixed point,
-a 2-cycle, {+inf}, {-inf}, or {-inf, +inf}. For lam >= 0 and at
-lam = -1 the answer has a closed form in the integer z = f(x) and the
-parameters. The remaining negative-slope starts are settled by an exact
-decision procedure on the (monotone non-decreasing) second iterate: its
-integer orbit either stops on a periodic point or strictly passes every
-periodic point of the map, after which it can never return. A start that
-lands on the fixed point is answered by the procedure's first step. No
+a 2-cycle, {+inf}, {-inf}, or {-inf, +inf}. For lam >= 0 the answer has
+a closed form in the integer z = f(x) and the parameters. Every
+negative-slope start is settled by an exact decision procedure on the
+(monotone non-decreasing) second iterate: its integer orbit either stops
+on a periodic point or strictly passes every periodic point of the map,
+after which it can never return. A start on a periodic point, and so
+every start at lam = -1, is answered by the procedure's first step. No
 tolerances, no iteration caps.
 """
 
@@ -121,24 +121,25 @@ def interval_index(p: Params, x: RationalLike) -> int:
 
     Requires lam < 0 (the partition does not exist otherwise).
     """
-    if p.lam >= 0:
+    if _integer_form(p)[0] >= 0:
         raise ValueError("slab partition is defined only for lambda < 0")
     return eval_map(p, x) - floor_affine_fixpoint(p)
 
 
 def classify_case(p: Params) -> CaseTag:
-    """The unique regime tag for (lam, mu), by exact threshold comparisons."""
-    lam = p.lam
+    """The unique regime tag for (lam, mu), by exact threshold comparisons
+    of scale against 0 and +-den on the integer form (lam = scale/den)."""
+    scale, _, den = _integer_form(p)
     has_fix = fixed_points(p).kind != "empty"
-    if lam > 1:
+    if scale > den:
         return CaseTag.I if has_fix else CaseTag.II
-    if lam == 1:
+    if scale == den:
         return CaseTag.III
-    if lam > 0:
+    if scale > 0:
         return CaseTag.IV
-    if lam == 0:
+    if scale == 0:
         return CaseTag.V
-    if lam > -1:
+    if scale > -den:
         return CaseTag.VI if has_fix else CaseTag.VII
     return CaseTag.VIII if has_fix else CaseTag.IX
 
@@ -146,12 +147,11 @@ def classify_case(p: Params) -> CaseTag:
 def omega_limit(p: Params, x: RationalLike) -> OmegaLimit:
     """Exact limit set of the forward orbit of x.
 
-    The orbit enters Z after one step, z = f(x), and for lam >= 0 and
-    lam = -1 the answer follows from that integer and the fixed run
-    lo .. hi of :func:`fixed_points`, without further iteration:
+    Every lam < 0 is settled by :func:`resolve_negative`. Otherwise the
+    orbit enters Z after one step, z = f(x), and the answer follows from
+    that integer and the fixed run lo .. hi of :func:`fixed_points`,
+    without further iteration:
 
-      lam = -1 : f(w) = floor(mu) - w on Z, so the limit is
-        {z, floor(mu) - z} (a fixed point when the two coincide);
       0 <= lam < 1 : f is monotone, moves every w outside the run towards
         it and maps lo and hi to themselves, so Fixed(min(max(z, lo), hi));
       lam >= 1, z in the fixed run : Fixed(z), the orbit has stopped;
@@ -160,26 +160,18 @@ def omega_limit(p: Params, x: RationalLike) -> OmegaLimit:
         f keeps it on that side, so +inf iff z > floor_affine_fixpoint(p),
         else -inf.
 
-    Every other negative-slope start is settled by :func:`resolve_negative`.
-
     The regime is picked by integer tests on the integer form
     f(z) = (scale*z + offset) // den of :func:`_integer_form`
     (lam = scale/den and mu = offset/den with den > 0):
 
-      lam < 0  <=> scale < 0           lam = -1 <=> scale = -den
-      lam < 1  <=> scale < den         lam = 1  <=> scale = den
-      mu >= 1  <=> offset >= den       floor(mu) = offset // den
+      lam < 0  <=> scale < 0           lam < 1 <=> scale < den
+      lam = 1  <=> scale = den         mu >= 1 <=> offset >= den
       floor_affine_fixpoint(p) = offset // (den - scale)
     """
     scale, offset, den = _integer_form(p)
-    if scale < 0 and scale != -den:
+    if scale < 0:
         return resolve_negative(p, x)
     z = eval_map(p, x)
-    if scale == -den:
-        partner = offset // den - z
-        if partner == z:
-            return OmegaLimit.fixed(z)
-        return OmegaLimit.two_cycle(min(z, partner), max(z, partner))
     fs = fixed_points(p)
     if scale < den:
         return OmegaLimit.fixed(min(max(z, fs.lo), fs.hi))
@@ -191,20 +183,23 @@ def omega_limit(p: Params, x: RationalLike) -> OmegaLimit:
 
 
 def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
-    """Decide the limit set for lam < 0, lam != -1 by exact iteration of the
-    second iterate g = f o f on the integer z = f(x).
+    """Decide the limit set for lam < 0 by exact iteration of the second
+    iterate g = f o f on the integer z = f(x).
 
     g is monotone non-decreasing, so the orbit z, g(z), g(g(z)), ... is
     monotone; its fixed points are precisely the fixed points of f plus
-    the members of its 2-cycles, all finitely many here. Hence the orbit
-    either stops (f(z) = z gives Fixed, otherwise the pair {z, f(z)} is
-    the limiting 2-cycle) or, once it strictly passes every periodic
-    point in its direction of travel, can never stop: the even iterates
-    run to one infinity and the odd ones to the other. Both outcomes are
-    reached in finitely many steps, so no iteration cap is needed.
+    the members of its 2-cycles. Hence the orbit either stops (f(z) = z
+    gives Fixed, otherwise the pair {z, f(z)} is the limiting 2-cycle) or,
+    once it strictly passes every periodic point in its direction of
+    travel, can never stop: the even iterates run to one infinity and the
+    odd ones to the other. Both outcomes are reached in finitely many
+    steps, so no iteration cap is needed. At lam = -1, f(w) = floor(mu) - w
+    on Z, so g is the identity and the first step returns {z, floor(mu) - z},
+    or Fixed(z) when the two coincide.
 
-    Every periodic point u lies in bottom .. top, two integer thresholds
-    on the integer form f(z) = (scale*z + offset) // den:
+    Once the orbit moves, lam != -1 and every periodic point u lies in
+    bottom .. top, two integer thresholds on the integer form
+    f(z) = (scale*z + offset) // den:
 
       - s = den - scale > 0 as lam < 0, and t = den + scale has the sign
         of 1 - |lam|, nonzero as lam != -1;
@@ -224,21 +219,19 @@ def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
     scale, offset, den = _integer_form(p)
     if scale >= 0:
         raise ValueError("resolution procedure requires lambda < 0")
-    if scale == -den:
-        raise ValueError("lambda = -1 is answered in closed form, not by iteration")
-    s, t = den - scale, den + scale
-    a, b = offset * t - den * den, offset * t - scale * den
-    lo, hi = (a, b) if t > 0 else (-b, -a)
-    bottom, top = lo // (s * abs(t)) + 1, (hi - 1) // (s * abs(t))
     z = eval_map(p, x)
     step = integer_step(p)
-    while True:
-        w = step(step(z))
-        if w == z:
-            fz = step(z)
-            if fz == z:
-                return OmegaLimit.fixed(z)
-            return OmegaLimit.two_cycle(min(z, fz), max(z, fz))
-        if (w > z and w > top) or (w < z and w < bottom):
-            return OmegaLimit.plus_minus_inf()
-        z = w
+    w = step(step(z))
+    if w != z:
+        s, t = den - scale, den + scale
+        a, b = offset * t - den * den, offset * t - scale * den
+        lo, hi = (a, b) if t > 0 else (-b, -a)
+        bottom, top = lo // (s * abs(t)) + 1, (hi - 1) // (s * abs(t))
+        while w != z:
+            if (w > z and w > top) or (w < z and w < bottom):
+                return OmegaLimit.plus_minus_inf()
+            z, w = w, step(step(w))
+    fz = step(z)
+    if fz == z:
+        return OmegaLimit.fixed(z)
+    return OmegaLimit.two_cycle(min(z, fz), max(z, fz))

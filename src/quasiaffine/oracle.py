@@ -5,7 +5,9 @@ classification in :mod:`quasiaffine.omega` (except in
 :func:`cross_check`, whose whole job is to compare the two routes). The
 oracles only ever apply the map itself: windowed enumeration for
 periodic points, plain orbit iteration with pattern detection for limit
-sets, and a bounded search refuting cycles of length >= 3.
+sets, and a bounded search refuting cycles of length >= 3. Iteration
+budgets are fixed, or derived from lam, mu and the start alone
+(:func:`step_budget`, :func:`escape_bound`).
 """
 
 from __future__ import annotations
@@ -122,6 +124,69 @@ def brute_omega(
     return UNRESOLVED
 
 
+def periodic_radius(p: Params) -> Rational:
+    """The bound 1/||lam| - 1| + 1 on |z - p*| over all periodic points z,
+    with p* = mu/(1 - lam) and |lam| != 1.
+
+    A fixed point has |(lam - 1)(z - p*)| < 1, and a 2-cycle {u, v} with
+    v = lam*u + mu - e1, u = lam*v + mu - e2 (e1, e2 in [0, 1)) gives
+    |u - p*|*|1 - lam^2| <= |lam| + 1. The bound comes from the map
+    alone, never from the closed forms.
+    """
+    return 1 / abs(abs(p.lam) - 1) + 1
+
+
+def escape_bound(p: Params, x: RationalLike) -> int:
+    """Beyond this every orbit from x has left the periodic region for
+    good, so an iterate past it is a genuine escape; below it, the start
+    cannot fake one. A contracting orbit stays within |x - p*| + r of p*,
+    so below |x| + 2|p*| + r: the 2|x| + 2 term covers it for huge starts.
+
+    At |lam| = 1 there is no such region: lam = -1 orbits are periodic
+    from their first integer on, and lam = 1 moves a non-fixed orbit by
+    floor(mu) != 0 each step, never back, so passing the start suffices."""
+    x = as_rational(x)
+    if abs(p.lam) == 1:
+        return 2 * ceil_rat(abs(x)) + 2
+    centre, r = p.mu / (1 - p.lam), periodic_radius(p)
+    return max(10 * (ceil_rat(abs(centre) + r) + 10**4), 2 * ceil_rat(abs(x)) + 2)
+
+
+def step_budget(p: Params, x: RationalLike) -> int:
+    """Steps after which the orbit of x has settled, if it ever does, and
+    never fewer than DEFAULT_MAX_STEPS.
+
+    With |lam| = a/b != 1 and r = ceil(b/|a - b|) + 1, the periodic points
+    lie within r of p*. Inside that region the second iterate is monotone
+    and moves by at least 1 until it stops, which 4r + 8 steps cover. For
+    a < b the orbit also has to come in: each step multiplies |z - p*| by
+    |lam| and adds less than 1, so every r - 1 = ceil(b/(b - a)) steps at
+    least halve its excess over 1/(1 - |lam|), and bit_length of
+    ceil(|x - p*|) + 2 halvings bring it within r. At |lam| = 1 every
+    orbit stops or moves off at once.
+    """
+    a, b = abs(p.lam).as_integer_ratio()
+    if a == b:
+        return DEFAULT_MAX_STEPS
+    r = -(-b // abs(b - a)) + 1
+    steps = 4 * r + 8
+    if a < b:
+        distance = ceil_rat(abs(as_rational(x) - p.mu / (1 - p.lam)))
+        steps += (r - 1) * (distance + 2).bit_length()
+    return max(DEFAULT_MAX_STEPS, steps)
+
+
+def _mismatch(claimed: OmegaLimit, observed: BruteOmega, max_steps: int) -> str:
+    """Why the iterated verdict refutes the claimed limit set, or ""."""
+    if isinstance(observed, Unresolved):
+        if claimed.is_escape:
+            return ""
+        return f"claimed {claimed.kind} but iteration was unresolved after {max_steps} steps"
+    if claimed == observed:
+        return ""
+    return f"claimed {claimed.to_json()} != observed {observed.to_json()}"
+
+
 def check_no_long_cycles(p: Params, w: Window, n_max: int) -> OracleVerdict:
     """Search the window for a point of minimal period 3..n_max; finding
     one falsifies the no-long-cycles claim.
@@ -156,20 +221,17 @@ def check_no_long_cycles(p: Params, w: Window, n_max: int) -> OracleVerdict:
     return OracleVerdict(True, detail)
 
 
-def cross_check(
-    p: Params,
-    w: Window,
-    samples: Sequence[RationalLike],
-    max_steps: int = DEFAULT_MAX_STEPS,
-    escape_bound: int = DEFAULT_ESCAPE_BOUND,
-) -> OracleVerdict:
+def cross_check(p: Params, w: Window, samples: Sequence[RationalLike]) -> OracleVerdict:
     """Compare every closed form against brute force on one parameter pair.
 
     Fixed points and 2-cycles are compared window-clipped and exactly.
     For each sample x the classification must match the iterated verdict;
     an UNRESOLVED brute verdict is accepted only when the classification
     says the orbit escapes (the one situation a finite budget cannot
-    certify).
+    certify). Each sample is iterated with the default budget first; only
+    a mismatch there is iterated again with :func:`step_budget` and
+    :func:`escape_bound`, which grow with lam, mu and x, and only a
+    mismatch that survives is reported.
     """
     got = fixed_points(p).clip(w.lo, w.hi)
     want = brute_fixed_points(p, w)
@@ -188,20 +250,12 @@ def cross_check(
     for raw in samples:
         x = as_rational(raw)
         claimed = omega_limit(p, x)
-        observed = brute_omega(p, x, max_steps, escape_bound)
-        if isinstance(observed, Unresolved):
-            if not claimed.is_escape:
-                return OracleVerdict(
-                    False,
-                    f"lambda={p.lam} mu={p.mu} x={x}: claimed {claimed.kind} "
-                    f"but iteration was unresolved after {max_steps} steps",
-                )
-        elif claimed != observed:
-            return OracleVerdict(
-                False,
-                f"lambda={p.lam} mu={p.mu} x={x}: claimed {claimed.to_json()} "
-                f"!= observed {observed.to_json()}",
-            )
+        if not _mismatch(claimed, brute_omega(p, x), DEFAULT_MAX_STEPS):
+            continue
+        max_steps = step_budget(p, x)
+        detail = _mismatch(claimed, brute_omega(p, x, max_steps, escape_bound(p, x)), max_steps)
+        if detail:
+            return OracleVerdict(False, f"lambda={p.lam} mu={p.mu} x={x}: {detail}")
     return OracleVerdict(True, "")
 
 

@@ -3,10 +3,11 @@
 For lam >= 0 the map is monotone non-decreasing, so it has fixed points
 but never cycles; for lam < 0 it is non-increasing, carries at most one
 fixed point, and all remaining periodicity sits in 2-cycles (no cycle of
-length >= 3 exists for any parameters). Both sets admit exact
-descriptions by floors/ceilings of the parameters, with matching
-counting formulas; this module evaluates those descriptions on the
-integer form of the map, with integer floor division only.
+length >= 3 exists for any parameters), at most one per gap b - a of a
+pair a < b. Both sets admit exact descriptions by floors/ceilings of the
+parameters, with matching counting formulas; this module evaluates those
+descriptions on the integer form of the map, with integer floor division
+only.
 """
 
 from __future__ import annotations
@@ -230,51 +231,51 @@ def count_fixed_points(p: Params) -> CountValue:
     return fixed_points(p).size()
 
 
-def _two_cycle_runs(p: Params) -> Iterator[tuple[int, int, int]]:
-    """Yield (k, x_lo, x_hi): the pairs {x, x + k} with x in x_lo .. x_hi
-    are exactly the 2-cycles of gap k; lam = -1 is excluded.
+def _two_cycle_pairs(scale: int, offset: int, den: int) -> Iterator[tuple[int, int]]:
+    """Yield the 2-cycles (x, x + k) of f(z) = (scale*z + offset) // den,
+    at most one per gap k, in increasing k; lam = -1 is excluded.
 
     f(x) = x + k and f(x + k) = x say 0 <= s*x + offset - den*k < den and
     0 <= s*x + offset + scale*k < den (s = scale - den). Subtracting them
     gives |scale + den|*k < den, i.e. |lam + 1|*k < 1, so the gap is
     bounded by k_hi = (den - 1) // |scale + den| and no k exists when
     lam >= 0 or lam <= -2. For lam < 0 one has s < 0, and intersecting the
-    two bands of s*x gives one floor-delimited run per k:
+    two bands of s*x leaves
 
-        x_lo = (den + min(den, -scale)*k - offset) // s + 1
-        x_hi = (max(den, -scale)*k - offset) // s
+        (den + near*k - offset) // s < x <= (far*k - offset) // s
 
-    For -1 < lam < 0 these read floor((-lam*k - mu + 1)/(lam-1)) + 1 ..
-    floor((k - mu)/(lam-1)); for -2 < lam < -1, floor((k + 1 - mu)/(lam-1))
-    + 1 .. floor((-lam*k - mu)/(lam-1)). Inverted x-runs are yielded too:
-    they are how the counting formula encodes an empty k-slot.
+    with near, far = min(den, -scale), max(den, -scale). The two floored
+    numbers differ by (den - |den + scale|*k)/(den - scale), which lies in
+    (0, 1) for 1 <= k <= k_hi, so the right end is the only candidate and
+    the gap holds a pair exactly when it exceeds the left floor.
     """
-    scale, offset, den = _integer_form(p)
-    s = scale - den
-    near, far = min(den, -scale), max(den, -scale)
+    s, near, far = scale - den, min(den, -scale), max(den, -scale)
     for k in range(1, (den - 1) // abs(scale + den) + 1):
-        yield k, (den + near * k - offset) // s + 1, (far * k - offset) // s
+        x = (far * k - offset) // s
+        if x > (den + near * k - offset) // s:
+            yield x, x + k
 
 
 def two_cycles(p: Params) -> TwoCycleSet:
     """Exact 2-cycle set {{x, f(x)} : f(x) != x and f(f(x)) = x}.
 
     lam = -1 gives the symbolic family {x, floor(mu) - x} over x in Z,
-    because f(x) = floor(mu) - x there; every other slope gives the finite
-    union of the runs of :func:`_two_cycle_runs` (none for lam <= -2 or
-    lam >= 0).
+    because f(x) = floor(mu) - x there; every other slope gives the pairs
+    of :func:`_two_cycle_pairs` (none for lam <= -2 or lam >= 0).
     """
-    if p.lam == -1:
-        return TwoCycleSet.neg_one_family(p.mu.numerator // p.mu.denominator)
-    return TwoCycleSet.finite(
-        (x, x + k) for k, x_lo, x_hi in _two_cycle_runs(p) for x in range(x_lo, x_hi + 1)
-    )
+    scale, offset, den = _integer_form(p)
+    if scale == -den:
+        return TwoCycleSet.neg_one_family(offset // den)
+    return TwoCycleSet.finite(_two_cycle_pairs(scale, offset, den))
 
 
 def count_two_cycles(p: Params) -> CountValue:
-    """Number of 2-cycles, from the summation formula (not by listing):
-    the sum over the gaps k of max(0, x_hi - x_lo + 1), infinite at lam = -1.
-    Costs O(k_hi) with k_hi < 1/|lam + 1|."""
-    if p.lam == -1:
+    """Number of 2-cycles, infinite at lam = -1. Elsewhere it is the sum
+    over the gaps 1 <= k <= k_hi of floor(A_k) - floor(B_k), where
+    A_k = (far*k - offset)/s and B_k = (den + near*k - offset)/s are the
+    two ends in :func:`_two_cycle_pairs`; each term is 0 or 1, because
+    A_k - B_k lies in (0, 1). Costs O(k_hi) with k_hi < 1/|lam + 1|."""
+    scale, offset, den = _integer_form(p)
+    if scale == -den:
         return CountValue.infinite()
-    return CountValue.finite(sum(max(0, x_hi - x_lo + 1) for _, x_lo, x_hi in _two_cycle_runs(p)))
+    return CountValue.finite(sum(1 for _ in _two_cycle_pairs(scale, offset, den)))

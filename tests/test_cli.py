@@ -231,6 +231,37 @@ def test_help_into_a_pipe_without_reader_exits_141_silently():
     assert (proc.returncode, err) == (141, b"")
 
 
+def test_orbit_prints_integers_past_the_default_digit_limit():
+    # the interpreter refuses str() of ints over 4,300 digits unless lifted
+    argv = ["--plain", "orbit", "--lambda", "1" + "0" * 1000, "--mu", "0", "--x", "1", "--steps", "5"]
+    proc = _entrypoint(argv, subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert out.splitlines()[-1] == b"1" + b"0" * 5000
+
+
+def test_omega_accepts_a_start_past_the_default_digit_limit():
+    start = b"9" * 5001
+    proc = _entrypoint(["omega", "--lambda", "1", "--mu", "0", "--x", start.decode()], subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+    assert out == b'{"kind":"fixed","z":' + start + b',"case":"iii"}\n'
+
+
+@pytest.mark.parametrize("lam, mu", [("1/2", "10000000000"), ("99/100", "1000")])
+def test_verify_accepts_orbits_beyond_the_default_budget(capsys, lam, mu):
+    # from the window the first orbit passes the default escape bound of
+    # 10^9 on its way to a fixed point, the second settles after 745 steps
+    code, out = run(
+        capsys,
+        "--plain", "verify",
+        "--lambda-range", f"{lam}..{lam}", "--lambda-step", "1",
+        "--mu-range", f"{mu}..{mu}", "--mu-step", "1",
+        "--window", "-5..5", "--samples", "3",
+    )
+    assert (code, out) == (0, "agree (1 parameter pairs)\n")
+
+
 def _outcome(capsys, argv: list[str]) -> tuple[object, str, str]:
     try:
         status = main(argv)

@@ -12,6 +12,8 @@ from quasiaffine import (
     OmegaLimit,
     Params,
     classify_case,
+    count_fixed_points,
+    count_two_cycles,
     eval_affine,
     eval_map,
     fixed_points,
@@ -23,6 +25,7 @@ from quasiaffine import (
     iterate_orbit,
     omega_limit,
     resolve_negative,
+    two_cycles,
 )
 
 
@@ -216,8 +219,14 @@ def test_resolve_negative_rejects_out_of_scope_slopes():
         resolve_negative(Params(Q(1, 2), Q(0)), Q(0))
     with pytest.raises(ValueError, match="requires lambda < 0"):
         resolve_negative(Params(Q(0), Q(1, 2)), Q(0))
-    with pytest.raises(ValueError):
-        resolve_negative(Params(Q(-1), Q(0)), Q(0))
+    # lam = -1 is in scope: f(w) = floor(mu) - w on Z, so g = f o f is the
+    # identity and the first step answers {z, floor(mu) - z}
+    for mu in (Q(0), Q(1, 2), Q(-7, 3), Q(5, 2)):
+        c = floor_rat(mu)
+        for x in range(-20, 21):
+            z = c - x
+            want = OmegaLimit.fixed(z) if 2 * z == c else OmegaLimit.two_cycle(min(z, c - z), max(z, c - z))
+            assert resolve_negative(Params(Q(-1), mu), Q(x)) == want
 
 
 def test_resolve_negative_can_land_on_the_fixed_point():
@@ -302,9 +311,20 @@ def test_omega_limit_matches_observed_tails():
 # ------------------------------------------------- integer-only query path
 
 
+def _closed_form_queries(p: Params, x: Q, negative: bool, unit_slope: bool) -> list:
+    out = [eval_map(p, x), omega_limit(p, x), fixed_points(p), count_fixed_points(p),
+           two_cycles(p), count_two_cycles(p), classify_case(p)]
+    if not unit_slope:
+        out.append(floor_affine_fixpoint(p))
+    if negative:
+        out += [resolve_negative(p, x), interval_index(p, x)]
+    return out
+
+
 def test_queries_do_no_fraction_arithmetic(monkeypatch):
-    # one map per regime tag, plus a huge start at lam = -(n-1)/n; Params
-    # and starts are built first, so only the queries run under the patch
+    # one map per regime tag, plus 2-cycle slopes -(n+-1)/n and a huge start
+    # at lam = -(n-1)/n; Params and starts are built first, so only the
+    # queries run under the patch
     cases = [
         (Params(Q(3, 2), Q(13, 10)), Q(-7, 5)),  # (i)
         (Params(Q(5, 2), Q(13, 10)), Q(0)),  # (ii)
@@ -316,21 +336,21 @@ def test_queries_do_no_fraction_arithmetic(monkeypatch):
         (Params(Q(-1), Q(1, 2)), Q(5, 2)),  # (viii)
         (Params(Q(-13, 10), Q(-4, 5)), Q(47, 20)),  # (ix)
         (Params(Q(-99, 100), Q(3, 7)), Q(10**60) + Q(1, 3)),
+        (Params(Q(-101, 100), Q(-5, 3)), Q(7, 2)),
     ]
-    expected = [(eval_map(p, x), omega_limit(p, x)) for p, x in cases]
-    iterated = [p.lam < 0 and p.lam != -1 for p, _ in cases]
+    flags = [(p.lam < 0, p.lam == 1) for p, _ in cases]
+    expected = [_closed_form_queries(p, x, *f) for (p, x), f in zip(cases, flags)]
+    assert sum(len(want[4].pairs) for want in expected) > 2  # some 2-cycles get listed
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic on the query path")
 
     for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__truediv__",
-                 "__lt__", "__le__", "__gt__", "__ge__"):
+                 "__floordiv__", "__mod__", "__neg__", "__abs__",
+                 "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__"):
         monkeypatch.setattr(Q, name, refuse)
-    for (p, x), (z, limit), negative in zip(cases, expected, iterated):
-        assert eval_map(p, x) == z
-        assert omega_limit(p, x) == limit
-        if negative:
-            assert resolve_negative(p, x) == limit
+    for (p, x), f, want in zip(cases, flags, expected):
+        assert _closed_form_queries(p, x, *f) == want
 
 
 # ------------------------------------------------------------------ the type

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import quasiaffine.oracle as oracle
 from quasiaffine import (
     UNRESOLVED,
     OmegaLimit,
@@ -122,6 +123,38 @@ def test_cross_check_over_random_params():
         p = Params(Q(rng.randint(-30, 30), rng.randint(1, 10)), Q(rng.randint(-30, 30), rng.randint(1, 10)))
         samples = [random_rational(rng, -40, 40) for _ in range(4)]
         assert cross_check(p, w, samples).agrees
+
+
+def test_cross_check_reruns_a_large_start_with_a_derived_budget():
+    # 10^12 passes the default escape bound of 10^9 with alternating signs
+    # long before it comes in to 0, so the default run alone would refute
+    p = Params(Q(-1, 2), Q(0))
+    assert brute_omega(p, Q(10**12)) == OmegaLimit.plus_minus_inf()
+    assert brute_omega(p, Q(10**12), oracle.step_budget(p, 10**12), oracle.escape_bound(p, 10**12)) == OmegaLimit.fixed(0)
+    assert cross_check(p, Window(-10, 10), [10**12]) == OracleVerdict(True, "")
+
+
+def test_cross_check_still_reports_what_the_rerun_confirms(monkeypatch):
+    monkeypatch.setattr(oracle, "omega_limit", lambda p, x: OmegaLimit.fixed(7))
+    verdict = cross_check(Params(Q(1, 2), Q(0)), Window(-10, 10), [Q(3)])
+    assert verdict == OracleVerdict(
+        False, "lambda=1/2 mu=0 x=3: claimed {'kind': 'fixed', 'z': 7} != observed {'kind': 'fixed', 'z': 0}"
+    )
+
+
+@pytest.mark.parametrize(
+    "lam, mu, x, steps, bound",
+    [
+        # r = 101: 4r + 8 inside the periodic region, 100 steps per bit of |x - p*| = 10^5
+        (Q(99, 100), Q(1000), Q(0), 412 + 100 * 17, 10 * (100_000 + 101 + 10**4)),
+        (Q(-3, 2), Q(0), Q(10**12), 512, 2 * 10**12 + 2),
+        (Q(-1), Q(1, 2), Q(-7, 2), 512, 10),
+        (Q(1), Q(5), Q(0), 512, 2),
+    ],
+)
+def test_derived_budget(lam, mu, x, steps, bound):
+    p = Params(lam, mu)
+    assert (oracle.step_budget(p, x), oracle.escape_bound(p, x)) == (steps, bound)
 
 
 def test_window_validation():

@@ -5,12 +5,10 @@ for the limit sets also negative slopes with n up to 10^4 and |mu| up to
 10^6 started next to p*, and starts as large as 10^100.
 
 Every periodic point z satisfies |z - p*| <= 1/||lam| - 1| + 1 with
-p* = mu/(1 - lam):
-a fixed point has |(lam - 1)(z - p*)| < 1, and a 2-cycle {u, v} with
-v = lam*u + mu - e1, u = lam*v + mu - e2 (e1, e2 in [0, 1)) gives
-|u - p*|*|1 - lam^2| <= |lam| + 1. The oracle window is derived from that
-bound alone, never from the closed forms, so the unclipped sets are
-compared, not a window slice.
+p* = mu/(1 - lam) (``oracle.periodic_radius``). The oracle window is
+derived from that bound alone, never from the closed forms, so the
+unclipped sets are compared, not a window slice; the escape bound of the
+iterated limit sets is ``oracle.escape_bound``, derived from it too.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from quasiaffine import (
     omega_limit,
     two_cycles,
 )
+from quasiaffine.oracle import escape_bound, periodic_radius
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=250, database=None)
 
@@ -56,15 +55,26 @@ def _rationals(max_den: int, max_abs: int) -> st.SearchStrategy[Q]:
     )
 
 
-def _radius(p: Params) -> Q:
-    """The bound 1/||lam| - 1| + 1 on |z - p*| over all periodic points z."""
-    return 1 / abs(abs(p.lam) - 1) + 1
-
-
 def _periodic_window(p: Params) -> Window:
     centre = p.mu / (1 - p.lam)
-    r = _radius(p)
+    r = periodic_radius(p)
     return Window(math.floor(centre - r) - 1, math.ceil(centre + r) + 1)
+
+
+negative_slopes = st.one_of(
+    st.builds(lambda n, off: -Q(n + off, n), st.integers(2, 1000), st.sampled_from([-1, 1])),
+    st.integers(2, 1000).flatmap(lambda d: st.integers(1, 2 * d - 1).filter(lambda n: n != d).map(lambda n: -Q(n, d))),
+)
+
+
+@settings(SEEDED, max_examples=150)
+@given(lam=negative_slopes, mu=_rationals(10**4, 10**6))
+def test_every_gap_holds_at_most_one_two_cycle(lam, mu):
+    # the two ends of a gap's x-run differ by less than 1, so iteration
+    # must never find two pairs {a, b} with the same b - a
+    p = Params(lam, mu)
+    gaps = [b - a for a, b in brute_two_cycles(p, _periodic_window(p))]
+    assert len(gaps) == len(set(gaps))
 
 
 def _wide_rationals() -> st.SearchStrategy[Q]:
@@ -100,23 +110,8 @@ def test_periodic_sets_and_counts_match_the_oracle_unclipped(lam, mu):
     assert count_two_cycles(p) == tc.size() == CountValue.finite(len(brute_pairs))
 
 
-def _escape_bound(p: Params, x: Q) -> int:
-    """Beyond this every orbit has left the periodic region for good, so an
-    iterate past it is a genuine escape; below it, starts cannot fake one.
-    A contracting orbit stays within |x - p*| + r of p*, so below
-    |x| + 2|p*| + r: the 2|x| + 2 term covers it for huge starts.
-
-    At |lam| = 1 there is no such region: lam = -1 orbits are periodic
-    from their first integer on, and lam = 1 moves a non-fixed orbit by
-    floor(mu) != 0 each step, never back, so passing the start suffices."""
-    if abs(p.lam) == 1:
-        return 2 * math.ceil(abs(x)) + 2
-    centre, r = p.mu / (1 - p.lam), _radius(p)
-    return max(10 * (math.ceil(abs(centre) + r) + 10**4), 2 * math.ceil(abs(x)) + 2)
-
-
 def _assert_omega_matches_iteration(p: Params, x: Q) -> None:
-    observed = brute_omega(p, x, max_steps=10**6, escape_bound=_escape_bound(p, x))
+    observed = brute_omega(p, x, max_steps=10**6, escape_bound=escape_bound(p, x))
     assert omega_limit(p, x) == observed
 
 
@@ -124,7 +119,7 @@ def _assert_omega_matches_iteration(p: Params, x: Q) -> None:
 @given(lam=slopes, mu=_rationals(10**4, 50), data=st.data())
 def test_omega_limit_matches_iteration(lam, mu, data):
     p = Params(lam, mu)
-    centre, r = p.mu / (1 - p.lam), _radius(p)
+    centre, r = p.mu / (1 - p.lam), periodic_radius(p)
     # starts among the periodic points, where the decisions are tight, and far out
     near = _rationals(100, math.ceil(r) + 1).map(lambda t: centre + t).filter(lambda x: abs(x) <= 10**4)
     x = data.draw(near | _rationals(100, 10**4) if abs(centre) < 10**4 else _rationals(100, 10**4))
@@ -142,7 +137,7 @@ def test_omega_limit_next_to_the_affine_fixed_point(lam, mu, t):
     # not around 0, so with |mu| large the starts that probe its ends are
     # those within r + 1 of p*
     p = Params(lam, mu)
-    _assert_omega_matches_iteration(p, p.mu / (1 - p.lam) + (_radius(p) + 1) * t)
+    _assert_omega_matches_iteration(p, p.mu / (1 - p.lam) + (periodic_radius(p) + 1) * t)
 
 
 @settings(SEEDED, max_examples=150)

@@ -1,0 +1,14 @@
+"""The README's library quickstart runs as written."""
+
+from __future__ import annotations
+
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quickstart_runs():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0
