@@ -12,10 +12,7 @@ from .core import (
     Params,
     Rational,
     as_rational,
-    ceil_rat,
-    eval_affine,
     eval_map,
-    floor_rat,
     format_rational,
     integer_step,
     iterate_orbit,
@@ -78,17 +75,14 @@ __all__ = [
     "brute_fixed_points",
     "brute_omega",
     "brute_two_cycles",
-    "ceil_rat",
     "check_no_long_cycles",
     "classify_case",
     "count_fixed_points",
     "count_two_cycles",
     "cross_check",
-    "eval_affine",
     "eval_map",
     "fixed_points",
     "floor_affine_fixpoint",
-    "floor_rat",
     "format_rational",
     "grid_values",
     "integer_step",

@@ -134,7 +134,7 @@ def _cmd_orbit(args: argparse.Namespace) -> int:
     payload = {
         "start": format_rational(orbit.start),
         "tail": list(orbit.tail),
-        "truncated": orbit.truncated,
+        "truncated": True,  # the tail is always a prefix of the infinite orbit
     }
     _emit(args, payload, "\n".join(str(z) for z in orbit.tail))
     return 0

@@ -4,16 +4,16 @@
 enter and leave the package as Fractions, and no floating point exists
 anywhere, so all threshold comparisons are decidable and exact. The map
 sends all of Q into Z, which means an orbit is a single rational start
-followed by a purely integer tail; inside, the closed forms and the
-iteration run on the integer form of the map (:func:`_integer_form`).
-:func:`eval_map` is that form applied to x = xn/xd, so once Params and
-x exist, no Fraction arithmetic is left on the way to an answer.
+followed by a purely integer tail. On Z the map depends on mu only
+through floor(b*mu) for lam = a/b; :class:`Params` computes that map once
+(``form``), and the closed forms and the iteration run on it. Once
+Params and x exist, no Fraction arithmetic is left on the way to an answer.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -58,64 +58,46 @@ def format_rational(value: RationalLike) -> str:
     return str(as_rational(value))
 
 
-def floor_rat(x: RationalLike) -> int:
-    """Greatest integer n with n <= x: floor toward -inf, exact for negatives."""
-    x = as_rational(x)
-    return x.numerator // x.denominator
-
-
-def ceil_rat(x: RationalLike) -> int:
-    """Smallest integer n with x <= n; equals -floor(-x)."""
-    x = as_rational(x)
-    return -((-x.numerator) // x.denominator)
-
-
 @dataclass(frozen=True)
 class Params:
-    """One map instance f(x) = floor(lam*x + mu); any rational pair is legal."""
+    """One map instance f(x) = floor(lam*x + mu); any rational pair is legal.
+
+    ``form`` = (scale, offset, den) = (a, floor(b*mu), b) for lam = a/b, b > 0:
+    f(z) = (scale*z + offset) // den on Z, as floor((N + r)/b) equals
+    floor((N + floor(r))/b) for an integer N. It stays out of repr and ==.
+    """
 
     lam: Rational
     mu: Rational
+    form: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", as_rational(self.lam))
-        object.__setattr__(self, "mu", as_rational(self.mu))
-
-
-def eval_affine(p: Params, x: RationalLike) -> Rational:
-    """The inducing affine map lam*x + mu, exactly."""
-    return p.lam * as_rational(x) + p.mu
+        lam, mu = as_rational(self.lam), as_rational(self.mu)
+        a, b = lam.as_integer_ratio()
+        c, d = mu.as_integer_ratio()
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "form", (a, c * b // d, b))
 
 
 def eval_map(p: Params, x: RationalLike) -> int:
     """One application of f; the result is always an integer.
 
-    The integer form of :func:`_integer_form` at x = xn/xd (xd > 0):
-    f(x) = (scale*xn + offset*xd) // (den*xd), one exact floor and no gcd,
-    equal to floor_rat(eval_affine(p, x)).
+    At x = xn/xd (xd > 0) and mu = c/d, lam*x + mu is (scale*xn + r)/(den*xd)
+    with r = c*den*xd/d, and flooring r first changes nothing, so
+    f(x) = (scale*xn + c*den*xd // d) // (den*xd): two exact floors and no gcd.
     """
     xn, xd = as_rational(x).as_integer_ratio()
-    scale, offset, den = _integer_form(p)
-    return (scale * xn + offset * xd) // (den * xd)
-
-
-def _integer_form(p: Params) -> tuple[int, int, int]:
-    """(scale, offset, den) = (a*d, c*b, b*d) for lam = a/b, mu = c/d (b, d > 0).
-
-    Clearing both denominators gives f(z) = (scale*z + offset) // den on
-    integers, since Python's ``//`` floors toward -inf; den > 0, so every
-    threshold on f keeps its direction.
-    """
-    a, b = p.lam.as_integer_ratio()
     c, d = p.mu.as_integer_ratio()
-    return a * d, c * b, b * d
+    scale, _, den = p.form
+    return (scale * xn + c * den * xd // d) // (den * xd)
 
 
 def integer_step(p: Params) -> Callable[[int], int]:
-    """Specialise f to integer arguments on its integer form, which agrees
-    with :func:`eval_map` on every integer. Orbit tails live entirely in Z,
-    so this is the hot path for iteration."""
-    scale, offset, den = _integer_form(p)
+    """Specialise f to integer arguments on ``p.form``, which agrees with
+    :func:`eval_map` on every integer. Orbit tails live entirely in Z, so
+    this is the hot path for iteration."""
+    scale, offset, den = p.form
 
     def step(z: int) -> int:
         return (scale * z + offset) // den
@@ -127,13 +109,12 @@ def integer_step(p: Params) -> Callable[[int], int]:
 class Orbit:
     """A finite forward orbit: rational start, integer tail f(x), f^2(x), ...
 
-    ``truncated`` is always True: the tail is a prefix of the infinite
-    orbit and the caller decides whether it was long enough.
+    The tail is always a prefix of the infinite orbit; the caller decides
+    whether it was long enough.
     """
 
     start: Rational
     tail: tuple[int, ...]
-    truncated: bool
 
 
 def iterate_orbit(p: Params, x: RationalLike, steps: int) -> Orbit:
@@ -149,4 +130,4 @@ def iterate_orbit(p: Params, x: RationalLike, steps: int) -> Orbit:
         for _ in range(steps - 1):
             z = step(z)
             tail.append(z)
-    return Orbit(start=x, tail=tuple(tail), truncated=True)
+    return Orbit(start=x, tail=tuple(tail))

@@ -9,6 +9,9 @@ on a periodic point or strictly passes every periodic point of the map,
 after which it can never return. A start on a periodic point, and so
 every start at lam = -1, is answered by the procedure's first step. No
 tolerances, no iteration caps.
+
+Limit sets depend on mu only through the map on Z, ``Params.form``; what
+is built on the affine fixed point p* = mu/(1 - lam) keeps all of mu.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Params, Rational, RationalLike, _integer_form, eval_map, integer_step
+from .core import Params, Rational, RationalLike, eval_map, integer_step
 from .periodic import fixed_points
 
 
@@ -97,12 +100,13 @@ class CaseTag(Enum):
 def floor_affine_fixpoint(p: Params) -> int:
     """floor(mu / (1 - lam)): the floor of the unique fixed point of the
     inducing affine map (lam != 1). For lam < 0 every image of f is this
-    value plus a slab index. Clearing b*d turns it into
-    offset // (den - scale) on the integer form of the map."""
-    scale, offset, den = _integer_form(p)
+    value plus a slab index. It depends on all of mu = c/d, not only on
+    the map on Z: with lam = scale/den it is c*den // (d*(den - scale))."""
+    scale, _, den = p.form
     if scale == den:
         raise ValueError("the affine map has no unique fixed point at lambda = 1")
-    return offset // (den - scale)
+    c, d = p.mu.as_integer_ratio()
+    return c * den // (d * (den - scale))
 
 
 def interval_bounds(p: Params, n: int) -> tuple[Rational, Rational]:
@@ -121,15 +125,15 @@ def interval_index(p: Params, x: RationalLike) -> int:
 
     Requires lam < 0 (the partition does not exist otherwise).
     """
-    if _integer_form(p)[0] >= 0:
+    if p.form[0] >= 0:
         raise ValueError("slab partition is defined only for lambda < 0")
     return eval_map(p, x) - floor_affine_fixpoint(p)
 
 
 def classify_case(p: Params) -> CaseTag:
     """The unique regime tag for (lam, mu), by exact threshold comparisons
-    of scale against 0 and +-den on the integer form (lam = scale/den)."""
-    scale, _, den = _integer_form(p)
+    of scale against 0 and +-den on ``p.form`` (lam = scale/den)."""
+    scale, _, den = p.form
     has_fix = fixed_points(p).kind != "empty"
     if scale > den:
         return CaseTag.I if has_fix else CaseTag.II
@@ -156,19 +160,20 @@ def omega_limit(p: Params, x: RationalLike) -> OmegaLimit:
         it and maps lo and hi to themselves, so Fixed(min(max(z, lo), hi));
       lam >= 1, z in the fixed run : Fixed(z), the orbit has stopped;
       lam = 1  : f(w) = w + floor(mu), so +inf when mu >= 1, else -inf;
-      lam > 1  : a non-fixed integer w has f(w) > w iff w > mu/(1-lam), and
-        f keeps it on that side, so +inf iff z > floor_affine_fixpoint(p),
+      lam > 1  : a non-fixed integer w has f(w) > w iff w > mu'/(1-lam), and
+        f keeps it on that side, so +inf iff z > floor(mu'/(1 - lam)),
         else -inf.
 
-    The regime is picked by integer tests on the integer form
-    f(z) = (scale*z + offset) // den of :func:`_integer_form`
-    (lam = scale/den and mu = offset/den with den > 0):
+    The regime is picked by integer tests on the map on Z
+    f(z) = (scale*z + offset) // den of ``p.form`` (lam = scale/den and
+    mu' = offset/den = floor(den*mu)/den, which gives the same map on Z):
 
       lam < 0  <=> scale < 0           lam < 1 <=> scale < den
       lam = 1  <=> scale = den         mu >= 1 <=> offset >= den
-      floor_affine_fixpoint(p) = offset // (den - scale)
+      floor(mu'/(1 - lam)) = offset // (den - scale), which is not
+        floor_affine_fixpoint(p): that one reads all of mu
     """
-    scale, offset, den = _integer_form(p)
+    scale, offset, den = p.form
     if scale < 0:
         return resolve_negative(p, x)
     z = eval_map(p, x)
@@ -198,35 +203,39 @@ def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
     or Fixed(z) when the two coincide.
 
     Once the orbit moves, lam != -1 and every periodic point u lies in
-    bottom .. top, two integer thresholds on the integer form
-    f(z) = (scale*z + offset) // den:
+    bottom .. top, two integer thresholds around the affine fixed point
+    p* = mu/(1 - lam). Like :func:`floor_affine_fixpoint` they read all of
+    mu = c/d, with lam = scale/den from ``p.form``:
 
       - s = den - scale > 0 as lam < 0, and t = den + scale has the sign
         of 1 - |lam|, nonzero as lam != -1;
-      - p* = mu/(1 - lam) = offset/s satisfies lam*p* + mu = p*, so with
-        u' = u - p* one step is f(u) - p* = lam*u' - e1, e1 in [0, 1);
+      - p* = c*den/(d*s) satisfies lam*p* + mu = p*, so with u' = u - p*
+        one step is f(u) - p* = lam*u' - e1, e1 in [0, 1);
       - two steps around a 2-cycle {u, v} give u' = lam*(lam*u' - e1) - e2,
         so u'(1 - lam^2) = |lam|*e1 - e2 lies in (-1, |lam|); a fixed
         point is the case v = u;
-      - (1 - lam^2)*den^2 = s*t, u'*s = s*u - offset and |lam|*den = -scale,
-        so times den^2: -den^2 < (s*u - offset)*t < -scale*den;
-      - with a = offset*t - den^2 and b = offset*t - scale*den this reads
-        a < s*t*u < b, i.e. lo < s*|t|*u < hi with (lo, hi) = (a, b) for
-        t > 0 and (-b, -a) for t < 0;
-      - the integers strictly inside are bottom = lo // (s*|t|) + 1 up to
-        top = (hi - 1) // (s*|t|).
+      - (1 - lam^2)*den^2 = s*t, u'*d*s = d*s*u - c*den and
+        |lam|*den = -scale, so times d*den^2:
+        -d*den^2 < (d*s*u - c*den)*t < -d*scale*den;
+      - with a = c*den*t - d*den^2 and b = c*den*t - d*scale*den this reads
+        a < d*s*t*u < b, i.e. lo < q*u < hi with q = d*s*|t| and
+        (lo, hi) = (a, b) for t > 0 and (-b, -a) for t < 0;
+      - the integers strictly inside are bottom = lo // q + 1 up to
+        top = (hi - 1) // q.
     """
-    scale, offset, den = _integer_form(p)
+    scale, _, den = p.form
     if scale >= 0:
         raise ValueError("resolution procedure requires lambda < 0")
     z = eval_map(p, x)
     step = integer_step(p)
     w = step(step(z))
     if w != z:
+        c, d = p.mu.as_integer_ratio()
         s, t = den - scale, den + scale
-        a, b = offset * t - den * den, offset * t - scale * den
+        a, b = c * den * t - d * den * den, c * den * t - d * scale * den
         lo, hi = (a, b) if t > 0 else (-b, -a)
-        bottom, top = lo // (s * abs(t)) + 1, (hi - 1) // (s * abs(t))
+        q = d * s * abs(t)
+        bottom, top = lo // q + 1, (hi - 1) // q
         while w != z:
             if (w > z and w > top) or (w < z and w < bottom):
                 return OmegaLimit.plus_minus_inf()

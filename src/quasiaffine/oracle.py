@@ -5,19 +5,20 @@ classification in :mod:`quasiaffine.omega` (except in
 :func:`cross_check`, whose whole job is to compare the two routes). The
 oracles only ever apply the map itself: windowed enumeration for
 periodic points, plain orbit iteration with pattern detection for limit
-sets, and a bounded search refuting cycles of length >= 3. Iteration
-budgets are fixed, or derived from lam, mu and the start alone
-(:func:`step_budget`, :func:`escape_bound`).
+sets, and a bounded search refuting cycles of length >= 3, all through
+their own step (:func:`_full_step`). Iteration budgets are fixed, or
+derived from lam, mu and the start alone (:func:`step_budget`, :func:`escape_bound`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .core import Params, Rational, RationalLike, as_rational, ceil_rat, eval_map, integer_step
+from .core import Params, Rational, RationalLike, as_rational
 from .omega import OmegaLimit, omega_limit
 from .periodic import fixed_points, two_cycles
 
@@ -68,10 +69,19 @@ UNRESOLVED = Unresolved()
 BruteOmega = Union[OmegaLimit, Unresolved]
 
 
+def _full_step(p: Params, xd: int = 1) -> Callable[[int], int]:
+    """n -> f(n/xd) = (a*d*n + c*b*xd) // (b*d*xd) for lam = a/b, mu = c/d.
+    Read off lam and mu alone, so agreement tests ``Params.form`` instead of sharing it."""
+    a, b = p.lam.as_integer_ratio()
+    c, d = p.mu.as_integer_ratio()
+    scale, offset, den = a * d, c * b * xd, b * d * xd
+    return lambda n: (scale * n + offset) // den
+
+
 def brute_fixed_points(p: Params, w: Window) -> list[int]:
     """All z in the window with f(z) = z, by direct scan (f maps into Z,
     so no fixed point inside the window can be missed)."""
-    step = integer_step(p)
+    step = _full_step(p)
     return [z for z in w.members() if step(z) == z]
 
 
@@ -79,7 +89,7 @@ def brute_two_cycles(p: Params, w: Window) -> list[tuple[int, int]]:
     """All pairs {z, f(z)} with both members in the window, f(z) != z and
     f(f(z)) = z, canonically ordered."""
     lo, hi = w.lo, w.hi
-    step = integer_step(p)
+    step = _full_step(p)
     image = [step(z) for z in w.members()]
     pairs = []
     for z in w.members():
@@ -104,9 +114,10 @@ def brute_omega(
     """
     if max_steps < 2:
         raise ValueError("max_steps must be >= 2")
-    step = integer_step(p)
+    xn, xd = as_rational(x).as_integer_ratio()
+    step = _full_step(p)
     before: int | None = None
-    prev = eval_map(p, as_rational(x))
+    prev = _full_step(p, xd)(xn)
     cur = step(prev)
     for _ in range(max_steps - 1):
         if cur == prev:
@@ -147,9 +158,9 @@ def escape_bound(p: Params, x: RationalLike) -> int:
     floor(mu) != 0 each step, never back, so passing the start suffices."""
     x = as_rational(x)
     if abs(p.lam) == 1:
-        return 2 * ceil_rat(abs(x)) + 2
+        return 2 * math.ceil(abs(x)) + 2
     centre, r = p.mu / (1 - p.lam), periodic_radius(p)
-    return max(10 * (ceil_rat(abs(centre) + r) + 10**4), 2 * ceil_rat(abs(x)) + 2)
+    return max(10 * (math.ceil(abs(centre) + r) + 10**4), 2 * math.ceil(abs(x)) + 2)
 
 
 def step_budget(p: Params, x: RationalLike) -> int:
@@ -171,7 +182,7 @@ def step_budget(p: Params, x: RationalLike) -> int:
     r = -(-b // abs(b - a)) + 1
     steps = 4 * r + 8
     if a < b:
-        distance = ceil_rat(abs(as_rational(x) - p.mu / (1 - p.lam)))
+        distance = math.ceil(abs(as_rational(x) - p.mu / (1 - p.lam)))
         steps += (r - 1) * (distance + 2).bit_length()
     return max(DEFAULT_MAX_STEPS, steps)
 
@@ -197,9 +208,9 @@ def check_no_long_cycles(p: Params, w: Window, n_max: int) -> OracleVerdict:
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    pad = ceil_rat((abs(p.lam) + 1) * (w.hi - w.lo))
+    pad = math.ceil((abs(p.lam) + 1) * (w.hi - w.lo))
     lo, hi = w.lo - pad, w.hi + pad
-    step = integer_step(p)
+    step = _full_step(p)
     unchecked = 0
     for z in w.members():
         v = z

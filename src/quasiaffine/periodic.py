@@ -6,8 +6,8 @@ fixed point, and all remaining periodicity sits in 2-cycles (no cycle of
 length >= 3 exists for any parameters), at most one per gap b - a of a
 pair a < b. Both sets admit exact descriptions by floors/ceilings of the
 parameters, with matching counting formulas; this module evaluates those
-descriptions on the integer form of the map, with integer floor division
-only.
+descriptions on the map on integers, ``Params.form``, with integer floor
+division only.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Params, _integer_form
+from .core import Params
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ class TwoCycleSet:
 def fixed_points(p: Params) -> IntegerSet:
     """Exact fixed-point set of f, in O(1).
 
-    With f(z) = (scale*z + offset) // den (see ``core._integer_form``),
+    With f(z) = (scale*z + offset) // den (``Params.form``),
     f(z) = z exactly when 0 <= s*z + offset < den for s = scale - den,
     whose sign is that of lam - 1. Solving both inequalities for z pins a
     single contiguous integer run (floors flip under a negative s):
@@ -210,10 +210,11 @@ def fixed_points(p: Params) -> IntegerSet:
         lam < 1 : (offset - den) // -s + 1 .. offset // -s
 
     These are ceil(-mu/(lam-1)) .. ceil(-(mu-1)/(lam-1)) - 1 and
-    floor(-(mu-1)/(lam-1)) + 1 .. floor(-mu/(lam-1)) with b*d cleared.
+    floor(-(mu-1)/(lam-1)) + 1 .. floor(-mu/(lam-1)) with mu replaced by
+    offset/den = floor(b*mu)/b, which gives the same map on Z.
     An inverted run means the set is empty.
     """
-    scale, offset, den = _integer_form(p)
+    scale, offset, den = p.form
     s = scale - den
     if s == 0:
         return IntegerSet.all_integers() if 0 <= offset < den else IntegerSet.empty()
@@ -263,7 +264,7 @@ def two_cycles(p: Params) -> TwoCycleSet:
     because f(x) = floor(mu) - x there; every other slope gives the pairs
     of :func:`_two_cycle_pairs` (none for lam <= -2 or lam >= 0).
     """
-    scale, offset, den = _integer_form(p)
+    scale, offset, den = p.form
     if scale == -den:
         return TwoCycleSet.neg_one_family(offset // den)
     return TwoCycleSet.finite(_two_cycle_pairs(scale, offset, den))
@@ -275,7 +276,7 @@ def count_two_cycles(p: Params) -> CountValue:
     A_k = (far*k - offset)/s and B_k = (den + near*k - offset)/s are the
     two ends in :func:`_two_cycle_pairs`; each term is 0 or 1, because
     A_k - B_k lies in (0, 1). Costs O(k_hi) with k_hi < 1/|lam + 1|."""
-    scale, offset, den = _integer_form(p)
+    scale, offset, den = p.form
     if scale == -den:
         return CountValue.infinite()
     return CountValue.finite(sum(1 for _ in _two_cycle_pairs(scale, offset, den)))

@@ -8,6 +8,7 @@ no tolerances anywhere.
 from __future__ import annotations
 
 import io
+import math
 import random
 from fractions import Fraction as Q
 
@@ -27,7 +28,6 @@ from quasiaffine import (
     eval_map,
     fixed_points,
     floor_affine_fixpoint,
-    floor_rat,
     integer_step,
     interval_bounds,
     interval_index,
@@ -155,7 +155,7 @@ def test_criterion_5_anchored_cases():
 
     p = Params(Q(5, 2), Q(13, 10))
     expect(classify_case(p) == CaseTag.II, "(5/2,13/10) case ii")
-    threshold = (floor_rat(-p.mu / (p.lam - 1)) - p.mu + 1) / p.lam
+    threshold = (math.floor(-p.mu / (p.lam - 1)) - p.mu + 1) / p.lam
     for x in (Q(-7, 10), Q(0), threshold, threshold - Q(1, 1000)):
         want = OmegaLimit.plus_inf() if x >= threshold else OmegaLimit.minus_inf()
         expect(omega_limit(p, x) == want, f"(5/2,13/10,{x}) divergence sign")
@@ -215,8 +215,8 @@ def test_criterion_7_unit_negative_slope_identities():
             if step(step(z1)) != z1:
                 bad.append(("f3", mu, x))
                 continue
-            first = floor_rat(mu - x)
-            second = floor_rat(mu) - first
+            first = math.floor(mu - x)
+            second = math.floor(mu) - first
             want = (
                 OmegaLimit.fixed(first)
                 if first == second

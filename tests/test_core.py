@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -10,10 +11,7 @@ import pytest
 from quasiaffine import (
     Params,
     as_rational,
-    ceil_rat,
-    eval_affine,
     eval_map,
-    floor_rat,
     format_rational,
     integer_step,
     iterate_orbit,
@@ -28,11 +26,22 @@ def rationals(seed: int, count: int, span: int = 40, max_den: int = 50):
         yield Q(rng.randint(-span * d, span * d), d)
 
 
+def floor_rat(x: Q) -> int:
+    """floor(x) as f(x) at lam = 1, mu = 0."""
+    return eval_map(Params(1, 0), x)
+
+
+def ceil_rat(x: Q) -> int:
+    """ceil(x) as -f(x) at lam = -1, mu = 0, where f(x) = floor(-x)."""
+    return -eval_map(Params(-1, 0), x)
+
+
 @pytest.mark.parametrize(
     "x, expected",
     [(Q(7, 2), 3), (Q(-13, 5), -3), (Q(4), 4), (Q(0), 0), (Q(-1, 1000), -1)],
 )
 def test_floor_examples(x, expected):
+    # eval_map floors toward -inf, exactly for negatives
     assert floor_rat(x) == expected
 
 
@@ -55,8 +64,8 @@ def test_floor_shift_and_duality():
     rng = random.Random(2)
     for x in rationals(seed=3, count=500):
         n = rng.randint(-100, 100)
-        assert floor_rat(x + n) == floor_rat(x) + n
-        assert ceil_rat(x + n) == ceil_rat(x) + n
+        assert floor_rat(x + n) == floor_rat(x) + n == eval_map(Params(1, n), x)
+        assert ceil_rat(x + n) == ceil_rat(x) + n == -eval_map(Params(-1, -n), x)
         assert ceil_rat(x) == -floor_rat(-x)
 
 
@@ -113,6 +122,15 @@ def test_params_coerces_strings_and_ints():
     assert p.lam == Q(3, 2) and p.mu == Q(1)
 
 
+def test_params_form_is_the_reduced_map_and_stays_out_of_equality():
+    # lam = a/b gives (a, floor(b*mu), b); mu and floor(b*mu)/b share it
+    p, q = Params(Q(-7, 10), Q(-13, 30)), Params(Q(-7, 10), Q(-5, 10))
+    assert p.form == q.form == (-7, -5, 10)
+    assert p != q and p == Params("-7/10", "-13/30")
+    assert hash(p) == hash(Params("-7/10", "-13/30"))
+    assert repr(p) == "Params(lam=Fraction(-7, 10), mu=Fraction(-13, 30))"
+
+
 @pytest.mark.parametrize(
     "lam, mu, x, expected",
     [
@@ -122,7 +140,10 @@ def test_params_coerces_strings_and_ints():
     ],
 )
 def test_eval_affine_examples(lam, mu, x, expected):
-    assert eval_affine(Params(lam, mu), x) == expected
+    # f is the floor of its inducing affine map lam*x + mu
+    p = Params(lam, mu)
+    assert p.lam * x + p.mu == expected
+    assert eval_map(p, x) == math.floor(expected)
 
 
 @pytest.mark.parametrize(
@@ -141,7 +162,7 @@ def test_orbit_examples():
     assert iterate_orbit(Params(Q(3, 2), Q(13, 10)), Q(-1, 2), 4).tail == (0, 1, 2, 4)
     assert iterate_orbit(Params(Q(-1), Q(1, 2)), Q(1, 2), 3).tail == (0, 0, 0)
     orbit = iterate_orbit(Params(Q(2), Q(7)), Q(1, 3), 0)
-    assert orbit.tail == () and orbit.truncated
+    assert orbit.tail == () and orbit.start == Q(1, 3)
 
 
 def test_orbit_rejects_negative_steps():

@@ -177,3 +177,15 @@ def test_random_rational_stays_in_window_and_is_seeded():
     assert xs == [random_rational(rng2, -50, 50) for _ in range(200)]
     with pytest.raises(ValueError):
         random_rational(rng, 5, 4)
+
+
+def test_cross_check_catches_a_tampered_form():
+    # the oracle reads lam and mu, never Params.form: moving the form's
+    # offset moves the library's fixed points, and cross_check must see it
+    p = Params(Q(1, 2), Q(0))
+    w = Window(-10, 10)
+    assert brute_fixed_points(p, w) == [-1, 0] and cross_check(p, w, []).agrees
+    scale, offset, den = p.form
+    object.__setattr__(p, "form", (scale, offset + 1, den))
+    verdict = cross_check(p, w, [])
+    assert not verdict.agrees and "fixed points" in verdict.detail

@@ -29,10 +29,8 @@ from quasiaffine import (
     brute_two_cycles,
     count_fixed_points,
     count_two_cycles,
-    eval_affine,
     eval_map,
     fixed_points,
-    floor_rat,
     integer_step,
     omega_limit,
     two_cycles,
@@ -78,23 +76,25 @@ def test_every_gap_holds_at_most_one_two_cycle(lam, mu):
 
 
 def _wide_rationals() -> st.SearchStrategy[Q]:
-    """Either sign, numerators up to 10^100, denominators up to 10^4."""
-    return st.builds(Q, st.integers(-(10**100), 10**100), st.integers(1, 10**4))
+    """Either sign, numerators up to 10^100, denominators up to 10^4 or,
+    drawn apart so both sizes come up, up to 10^300."""
+    return st.builds(Q, st.integers(-(10**100), 10**100), st.integers(1, 10**4) | st.integers(1, 10**300))
 
 
 @settings(SEEDED, max_examples=100)
 @given(lam=_wide_rationals(), mu=_wide_rationals(), x=_wide_rationals() | st.integers(-(10**100), 10**100).map(Q))
 def test_eval_map_matches_the_rational_definition(lam, mu, x):
-    # eval_map runs on the integer form; the definition floors lam*x + mu
+    # eval_map floors mu's share before the last division; the definition
+    # floors lam*x + mu
     p = Params(lam, mu)
-    want = floor_rat(eval_affine(p, x))
+    want = math.floor(p.lam * x + p.mu)
     assert eval_map(p, x) == eval_map(p, str(x)) == want
     if x.denominator == 1:
         assert eval_map(p, int(x)) == integer_step(p)(int(x)) == want
 
 
 @SEEDED
-@given(lam=slopes, mu=_rationals(10**4, 50))
+@given(lam=slopes, mu=_rationals(10**4, 50) | _rationals(10**300, 50))
 def test_periodic_sets_and_counts_match_the_oracle_unclipped(lam, mu):
     p = Params(lam, mu)
     w = _periodic_window(p)
@@ -108,6 +108,21 @@ def test_periodic_sets_and_counts_match_the_oracle_unclipped(lam, mu):
     brute_pairs = brute_two_cycles(p, w)
     assert list(tc.pairs) == brute_pairs
     assert count_two_cycles(p) == tc.size() == CountValue.finite(len(brute_pairs))
+
+
+@settings(SEEDED, max_examples=100)
+@given(lam=slopes, mu=_rationals(10**4, 50) | _rationals(10**300, 50), data=st.data())
+def test_the_oracle_sees_mu_only_through_floor_b_mu(lam, mu, data):
+    # for lam = a/b the map on Z is (a*z + floor(b*mu)) // b; the oracle
+    # iterates its own form of lam*z + mu, so it must find the same periodic
+    # points and the same limits from integer starts for mu and floor(b*mu)/b
+    b = lam.denominator
+    p, q = Params(lam, mu), Params(lam, Q(math.floor(b * mu), b))
+    w = _periodic_window(p)
+    assert brute_fixed_points(p, w) == brute_fixed_points(q, w)
+    assert brute_two_cycles(p, w) == brute_two_cycles(q, w)
+    for z in data.draw(st.lists(st.integers(w.lo - 10, w.hi + 10), min_size=1, max_size=5)):
+        assert brute_omega(p, z) == brute_omega(q, z)
 
 
 def _assert_omega_matches_iteration(p: Params, x: Q) -> None:
