@@ -58,13 +58,21 @@ def format_rational(value: RationalLike) -> str:
     return str(as_rational(value))
 
 
+def integer_form(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    """(scale, offset, den) = (a, floor(b*c/d), b): f(z) = (scale*z + offset) // den
+    is floor(lam*z + mu) on Z for lam = a/b and mu = c/d (b, d > 0, neither
+    fraction need be reduced), as floor((N + r)/b) equals floor((N + floor(r))/b)
+    for an integer N."""
+    return a, c * b // d, b
+
+
 @dataclass(frozen=True)
 class Params:
     """One map instance f(x) = floor(lam*x + mu); any rational pair is legal.
 
-    ``form`` = (scale, offset, den) = (a, floor(b*mu), b) for lam = a/b, b > 0:
-    f(z) = (scale*z + offset) // den on Z, as floor((N + r)/b) equals
-    floor((N + floor(r))/b) for an integer N. It stays out of repr and ==.
+    ``form`` = (scale, offset, den) = (a, floor(b*mu), b) for lam = a/b, b > 0,
+    is :func:`integer_form`: f(z) = (scale*z + offset) // den on Z. It stays
+    out of repr and ==.
     """
 
     lam: Rational
@@ -73,11 +81,9 @@ class Params:
 
     def __post_init__(self) -> None:
         lam, mu = as_rational(self.lam), as_rational(self.mu)
-        a, b = lam.as_integer_ratio()
-        c, d = mu.as_integer_ratio()
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "form", (a, c * b // d, b))
+        object.__setattr__(self, "form", integer_form(*lam.as_integer_ratio(), *mu.as_integer_ratio()))
 
 
 def eval_map(p: Params, x: RationalLike) -> int:

@@ -197,10 +197,10 @@ class TwoCycleSet:
         return {"kind": "neg_one_family", "c": self.c}
 
 
-def fixed_points(p: Params) -> IntegerSet:
-    """Exact fixed-point set of f, in O(1).
+def fixed_run(scale: int, offset: int, den: int) -> tuple[int, int] | None:
+    """Fixed points of f(z) = (scale*z + offset) // den as the run lo..hi
+    (empty when lo > hi), or None for all of Z, in O(1).
 
-    With f(z) = (scale*z + offset) // den (``Params.form``),
     f(z) = z exactly when 0 <= s*z + offset < den for s = scale - den,
     whose sign is that of lam - 1. Solving both inequalities for z pins a
     single contiguous integer run (floors flip under a negative s):
@@ -212,16 +212,22 @@ def fixed_points(p: Params) -> IntegerSet:
     These are ceil(-mu/(lam-1)) .. ceil(-(mu-1)/(lam-1)) - 1 and
     floor(-(mu-1)/(lam-1)) + 1 .. floor(-mu/(lam-1)) with mu replaced by
     offset/den = floor(b*mu)/b, which gives the same map on Z.
-    An inverted run means the set is empty.
     """
-    scale, offset, den = p.form
     s = scale - den
     if s == 0:
-        return IntegerSet.all_integers() if 0 <= offset < den else IntegerSet.empty()
+        return None if 0 <= offset < den else (0, -1)
     if s > 0:
-        lo, hi = -(offset // s), -((offset - den) // s) - 1
-    else:
-        lo, hi = (offset - den) // -s + 1, offset // -s
+        return -(offset // s), -((offset - den) // s) - 1
+    return (offset - den) // -s + 1, offset // -s
+
+
+def fixed_points(p: Params) -> IntegerSet:
+    """Exact fixed-point set of f, in O(1): the run of :func:`fixed_run` on
+    ``Params.form``. An inverted run means the set is empty."""
+    run = fixed_run(*p.form)
+    if run is None:
+        return IntegerSet.all_integers()
+    lo, hi = run
     return IntegerSet.run(lo, hi) if lo <= hi else IntegerSet.empty()
 
 
@@ -268,6 +274,40 @@ def two_cycles(p: Params) -> TwoCycleSet:
     if scale == -den:
         return TwoCycleSet.neg_one_family(offset // den)
     return TwoCycleSet.finite(_two_cycle_pairs(scale, offset, den))
+
+
+def two_cycle_points(scale: int, offset: int, den: int, lo: int, hi: int) -> list[int]:
+    """Period-2 points of f(z) = (scale*z + offset) // den inside [lo, hi],
+    ascending: ``two_cycles(p).points_in(lo, hi)`` without building the set,
+    and without walking the gaps whose pairs cannot reach the window.
+
+    The pairs of :func:`_two_cycle_pairs` arrive as (x, x + k) in increasing
+    k with x = (far*k - offset) // s, where s = scale - den < 0 because
+    pairs exist only for -2 < lam < 0. As k grows, far*k - offset grows,
+    so x never increases; and x + k = ((far + s)*k - offset) // s with
+    far + s = max(scale, -den) < 0, so x + k never decreases. Hence once a
+    pair has x < lo and x + k > hi, every later pair lies outside [lo, hi]
+    at both ends, and the walk stops there. The same monotony orders the
+    members: every lower end is at most the first pair's x, which is below
+    its x + k, which is at most every upper end; so the lower ends
+    reversed, then the upper ends, are ascending. lam = -1 is the family
+    of :meth:`TwoCycleSet.neg_one_family`.
+    """
+    if lo > hi:
+        raise ValueError("window requires lo <= hi")
+    if scale == -den:
+        return TwoCycleSet.neg_one_family(offset // den).points_in(lo, hi)
+    lows: list[int] = []
+    highs: list[int] = []
+    for x, y in _two_cycle_pairs(scale, offset, den):
+        if x < lo and y > hi:
+            break
+        if lo <= x <= hi:
+            lows.append(x)
+        if lo <= y <= hi:
+            highs.append(y)
+    lows.reverse()
+    return lows + highs
 
 
 def count_two_cycles(p: Params) -> CountValue:
