@@ -26,8 +26,8 @@ from .periodic import IntegerSet, TwoCycleSet, fixed_points, two_cycles
 from .sweep import SweepSpec, SweepTarget, grid_values, sweep, write_csv, write_jsonl
 
 
-class _SubParser(argparse.ArgumentParser):
-    """Subcommand parser that accepts "-p/q" and "-a..b" option values."""
+class _Parser(argparse.ArgumentParser):
+    """Parser that accepts "-p/q" and "-a..b" option values."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -193,13 +193,12 @@ _LEADING_MINUS_VALUE = re.compile(r"^-\d")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quasiaffine",
         description="Exact dynamics of f(x) = floor(lambda*x + mu) over rational parameters.",
     )
-    parser._negative_number_matcher = _LEADING_MINUS_VALUE
     parser.add_argument("--plain", action="store_true", help="human-readable output instead of JSON")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubParser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def map_flags(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--lambda", dest="lam", type=_rational, required=True, metavar="P/Q")

@@ -10,8 +10,10 @@ after which it can never return. A start on a periodic point, and so
 every start at lam = -1, is answered by the procedure's first step. No
 tolerances, no iteration caps.
 
-Limit sets depend on mu only through the map on Z, ``Params.form``; what
-is built on the affine fixed point p* = mu/(1 - lam) keeps all of mu.
+Limit sets depend on mu only through the map on Z, ``Params.form``, and
+``omega_limit`` reads mu only through it and :func:`eval_map`. Only
+:func:`floor_affine_fixpoint` and the slabs, which are built on the affine
+fixed point p* = mu/(1 - lam), keep all of mu.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Params, Rational, RationalLike, eval_map, integer_step
-from .periodic import fixed_points
+from .periodic import fixed_points, periodic_hull
 
 
 @dataclass(frozen=True)
@@ -202,40 +204,16 @@ def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
     on Z, so g is the identity and the first step returns {z, floor(mu) - z},
     or Fixed(z) when the two coincide.
 
-    Once the orbit moves, lam != -1 and every periodic point u lies in
-    bottom .. top, two integer thresholds around the affine fixed point
-    p* = mu/(1 - lam). Like :func:`floor_affine_fixpoint` they read all of
-    mu = c/d, with lam = scale/den from ``p.form``:
-
-      - s = den - scale > 0 as lam < 0, and t = den + scale has the sign
-        of 1 - |lam|, nonzero as lam != -1;
-      - p* = c*den/(d*s) satisfies lam*p* + mu = p*, so with u' = u - p*
-        one step is f(u) - p* = lam*u' - e1, e1 in [0, 1);
-      - two steps around a 2-cycle {u, v} give u' = lam*(lam*u' - e1) - e2,
-        so u'(1 - lam^2) = |lam|*e1 - e2 lies in (-1, |lam|); a fixed
-        point is the case v = u;
-      - (1 - lam^2)*den^2 = s*t, u'*d*s = d*s*u - c*den and
-        |lam|*den = -scale, so times d*den^2:
-        -d*den^2 < (d*s*u - c*den)*t < -d*scale*den;
-      - with a = c*den*t - d*den^2 and b = c*den*t - d*scale*den this reads
-        a < d*s*t*u < b, i.e. lo < q*u < hi with q = d*s*|t| and
-        (lo, hi) = (a, b) for t > 0 and (-b, -a) for t < 0;
-      - the integers strictly inside are bottom = lo // q + 1 up to
-        top = (hi - 1) // q.
+    Once the orbit moves, lam != -1 and every periodic point lies in
+    bottom .. top of :func:`periodic_hull` on ``p.form``.
     """
-    scale, _, den = p.form
-    if scale >= 0:
+    if p.form[0] >= 0:
         raise ValueError("resolution procedure requires lambda < 0")
     z = eval_map(p, x)
     step = integer_step(p)
     w = step(step(z))
     if w != z:
-        c, d = p.mu.as_integer_ratio()
-        s, t = den - scale, den + scale
-        a, b = c * den * t - d * den * den, c * den * t - d * scale * den
-        lo, hi = (a, b) if t > 0 else (-b, -a)
-        q = d * s * abs(t)
-        bottom, top = lo // q + 1, (hi - 1) // q
+        bottom, top = periodic_hull(*p.form)
         while w != z:
             if (w > z and w > top) or (w < z and w < bottom):
                 return OmegaLimit.plus_minus_inf()

@@ -167,21 +167,21 @@ def step_budget(p: Params, x: RationalLike) -> int:
     """Steps after which the orbit of x has settled, if it ever does, and
     never fewer than DEFAULT_MAX_STEPS.
 
-    With |lam| = a/b != 1 and r = ceil(b/|a - b|) + 1, the periodic points
-    lie within r of p*. Inside that region the second iterate is monotone
-    and moves by at least 1 until it stops, which 4r + 8 steps cover. For
-    a < b the orbit also has to come in: each step multiplies |z - p*| by
-    |lam| and adds less than 1, so every r - 1 = ceil(b/(b - a)) steps at
-    least halve its excess over 1/(1 - |lam|), and bit_length of
-    ceil(|x - p*|) + 2 halvings bring it within r. At |lam| = 1 every
-    orbit stops or moves off at once.
+    With |lam| != 1 and r = ceil(:func:`periodic_radius`), the periodic
+    points lie within r of p*. Inside that region the second iterate is
+    monotone and moves by at least 1 until it stops, which 4r + 8 steps
+    cover. For |lam| < 1 the orbit also has to come in: each step
+    multiplies |z - p*| by |lam| and adds less than 1, so every
+    r - 1 = ceil(1/(1 - |lam|)) steps at least halve its excess over
+    1/(1 - |lam|), and bit_length of ceil(|x - p*|) + 2 halvings bring it
+    within r. At |lam| = 1, where the radius is undefined, every orbit
+    stops or moves off at once.
     """
-    a, b = abs(p.lam).as_integer_ratio()
-    if a == b:
+    if abs(p.lam) == 1:
         return DEFAULT_MAX_STEPS
-    r = -(-b // abs(b - a)) + 1
+    r = math.ceil(periodic_radius(p))
     steps = 4 * r + 8
-    if a < b:
+    if abs(p.lam) < 1:
         distance = math.ceil(abs(as_rational(x) - p.mu / (1 - p.lam)))
         steps += (r - 1) * (distance + 2).bit_length()
     return max(DEFAULT_MAX_STEPS, steps)

@@ -263,6 +263,22 @@ def _two_cycle_pairs(scale: int, offset: int, den: int) -> Iterator[tuple[int, i
             yield x, x + k
 
 
+def periodic_hull(scale: int, offset: int, den: int) -> tuple[int, int]:
+    """Integer bounds bottom, top on every periodic point of
+    f(z) = (scale*z + offset) // den for lam < 0, lam != -1: the candidate
+    pair x, x + k_hi of the widest gap in :func:`_two_cycle_pairs`.
+
+    Every pair sits at a gap k <= k_hi (:func:`_two_cycle_pairs`); as k
+    grows its lower candidate end never rises and its upper end never falls
+    (:func:`two_cycle_points`); and the fixed point, when one exists, is the
+    k = 0 candidate offset // (den - scale).
+    """
+    s, far = scale - den, max(den, -scale)
+    k_hi = (den - 1) // abs(scale + den)
+    x = (far * k_hi - offset) // s
+    return x, x + k_hi
+
+
 def two_cycles(p: Params) -> TwoCycleSet:
     """Exact 2-cycle set {{x, f(x)} : f(x) != x and f(f(x)) = x}.
 

@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import quasiaffine.omega as omega_module
 from quasiaffine import (
     CaseTag,
     OmegaLimit,
@@ -26,6 +27,7 @@ from quasiaffine import (
     resolve_negative,
     two_cycles,
 )
+from quasiaffine.periodic import periodic_hull
 
 
 def negative_slope_params(rng: random.Random) -> Params:
@@ -249,6 +251,42 @@ def test_resolve_negative_can_land_on_the_fixed_point():
 
 
 # ------------------------------------------------------------ lam = -1 regime
+
+
+def test_resolve_negative_reads_mu_only_through_the_form(monkeypatch):
+    # for lam = a/b, mu and floor(b*mu)/b give the same map on Z, so from
+    # integer starts across the periodic hull and just outside it the
+    # decision must take the same steps to the same limit for both
+    calls = [0]
+
+    def counted(p):
+        step = integer_step(p)
+
+        def counting_step(z):
+            calls[0] += 1
+            return step(z)
+
+        return counting_step
+
+    monkeypatch.setattr(omega_module, "integer_step", counted)
+
+    def run(p, z):
+        calls[0] = 0
+        return resolve_negative(p, z), calls[0]
+
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.choice([rng.randint(2, 30), rng.randint(2, 10**4)])
+        lam = -Q(n + rng.choice([-1, 1]), n)
+        d = rng.choice([rng.randint(1, 10**4), rng.randint(1, 10**30)])
+        mu = Q(rng.randint(-(10**6) * d, 10**6 * d), d)
+        p, q = Params(lam, mu), Params(lam, Q(math.floor(lam.denominator * mu), lam.denominator))
+        assert p.form == q.form
+        bottom, top = periodic_hull(*p.form)
+        starts = {*range(bottom - 3, bottom + 4), *range(top - 3, top + 4)}
+        starts.update(rng.randint(bottom - 3, top + 3) for _ in range(10))
+        for z in sorted(starts):
+            assert run(p, z) == run(q, z)
 
 
 def test_lambda_minus_one_third_iterate_equals_first():

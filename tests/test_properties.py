@@ -36,6 +36,7 @@ from quasiaffine import (
     two_cycles,
 )
 from quasiaffine.oracle import escape_bound, periodic_radius
+from quasiaffine.periodic import periodic_hull
 
 SEEDED = settings(derandomize=True, deadline=None, max_examples=250, database=None)
 
@@ -66,13 +67,26 @@ negative_slopes = st.one_of(
 
 
 @settings(SEEDED, max_examples=150)
-@given(lam=negative_slopes, mu=_rationals(10**4, 10**6))
-def test_every_gap_holds_at_most_one_two_cycle(lam, mu):
+@given(lam=negative_slopes, mu=_rationals(10**4, 10**6), t=st.integers(-(10**30), 10**30))
+def test_every_gap_holds_at_most_one_two_cycle(lam, mu, t):
     # the two ends of a gap's x-run differ by less than 1, so iteration
     # must never find two pairs {a, b} with the same b - a
     p = Params(lam, mu)
-    gaps = [b - a for a, b in brute_two_cycles(p, _periodic_window(p))]
+    w = _periodic_window(p)
+    fix, pairs = brute_fixed_points(p, w), brute_two_cycles(p, w)
+    gaps = [b - a for a, b in pairs]
     assert len(gaps) == len(set(gaps))
+    # every periodic point lies between the candidate ends of the widest gap
+    bottom, top = periodic_hull(*p.form)
+    assert all(bottom <= z <= top for z in fix + [z for pair in pairs for z in pair])
+    # mu + (1 - lam)*t conjugates f by z -> z + t: the periodic points and
+    # the hull move by t, the hull through offset + (den - scale)*t
+    q = Params(lam, mu + (1 - lam) * t)
+    moved = Window(w.lo + t, w.hi + t)
+    assert brute_fixed_points(q, moved) == [z + t for z in fix]
+    assert brute_two_cycles(q, moved) == [(a + t, b + t) for a, b in pairs]
+    scale, offset, den = p.form
+    assert periodic_hull(scale, offset + (den - scale) * t, den) == periodic_hull(*q.form) == (bottom + t, top + t)
 
 
 def _wide_rationals() -> st.SearchStrategy[Q]:
