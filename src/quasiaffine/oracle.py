@@ -5,8 +5,8 @@ classification in :mod:`quasiaffine.omega` (except in
 :func:`cross_check`, whose whole job is to compare the two routes). The
 oracles only ever apply the map itself: windowed enumeration for
 periodic points, plain orbit iteration with pattern detection for limit
-sets, and a bounded search refuting cycles of length >= 3, all through
-their own step (:func:`_full_step`). Iteration budgets are fixed, or
+sets, and a bounded search refuting cycles of length >= 3, all stepping
+inline on their own integer form (:func:`_full_form`). Iteration budgets are fixed, or
 derived from lam, mu and the start alone (:func:`step_budget`, :func:`escape_bound`).
 """
 
@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .core import Params, Rational, RationalLike, as_rational
 from .omega import OmegaLimit, omega_limit
@@ -69,28 +69,27 @@ UNRESOLVED = Unresolved()
 BruteOmega = Union[OmegaLimit, Unresolved]
 
 
-def _full_step(p: Params, xd: int = 1) -> Callable[[int], int]:
-    """n -> f(n/xd) = (a*d*n + c*b*xd) // (b*d*xd) for lam = a/b, mu = c/d.
+def _full_form(p: Params) -> tuple[int, int, int]:
+    """(a*d, c*b, b*d) for lam = a/b, mu = c/d, so f(z) = (scale*z + offset) // den.
     Read off lam and mu alone, so agreement tests ``Params.form`` instead of sharing it."""
     a, b = p.lam.as_integer_ratio()
     c, d = p.mu.as_integer_ratio()
-    scale, offset, den = a * d, c * b * xd, b * d * xd
-    return lambda n: (scale * n + offset) // den
+    return a * d, c * b, b * d
 
 
 def brute_fixed_points(p: Params, w: Window) -> list[int]:
     """All z in the window with f(z) = z, by direct scan (f maps into Z,
     so no fixed point inside the window can be missed)."""
-    step = _full_step(p)
-    return [z for z in w.members() if step(z) == z]
+    scale, offset, den = _full_form(p)
+    return [z for z in w.members() if (scale * z + offset) // den == z]
 
 
 def brute_two_cycles(p: Params, w: Window) -> list[tuple[int, int]]:
     """All pairs {z, f(z)} with both members in the window, f(z) != z and
     f(f(z)) = z, canonically ordered."""
     lo, hi = w.lo, w.hi
-    step = _full_step(p)
-    image = [step(z) for z in w.members()]
+    scale, offset, den = _full_form(p)
+    image = [(scale * z + offset) // den for z in w.members()]
     pairs = []
     for z in w.members():
         y = image[z - lo]
@@ -105,7 +104,8 @@ def brute_omega(
     max_steps: int = DEFAULT_MAX_STEPS,
     escape_bound: int = DEFAULT_ESCAPE_BOUND,
 ) -> BruteOmega:
-    """Estimate the limit set by iterating the integer tail.
+    """Estimate the limit set by iterating the integer tail of x = xn/xd
+    inline: (scale*xn + offset*xd) // (den*xd), then (scale*z + offset) // den.
 
     Detects eventual constancy (Fixed), period-2 alternation (TwoCycle),
     a monotone exit with two consecutive iterates beyond +-escape_bound
@@ -115,14 +115,14 @@ def brute_omega(
     if max_steps < 2:
         raise ValueError("max_steps must be >= 2")
     xn, xd = as_rational(x).as_integer_ratio()
-    step = _full_step(p)
+    scale, offset, den = _full_form(p)
     before: int | None = None
-    prev = _full_step(p, xd)(xn)
-    cur = step(prev)
+    prev = (scale * xn + offset * xd) // (den * xd)
+    cur = (scale * prev + offset) // den
     for _ in range(max_steps - 1):
         if cur == prev:
             return OmegaLimit.fixed(cur)
-        if before is not None and cur == before:
+        if cur == before:
             return OmegaLimit.two_cycle(min(prev, cur), max(prev, cur))
         if abs(prev) > escape_bound and abs(cur) > escape_bound:
             if prev > 0 and cur > prev:
@@ -131,7 +131,7 @@ def brute_omega(
                 return OmegaLimit.minus_inf()
             if (prev > 0) != (cur > 0):
                 return OmegaLimit.plus_minus_inf()
-        before, prev, cur = prev, cur, step(cur)
+        before, prev, cur = prev, cur, (scale * cur + offset) // den
     return UNRESOLVED
 
 
@@ -210,12 +210,12 @@ def check_no_long_cycles(p: Params, w: Window, n_max: int) -> OracleVerdict:
         raise ValueError("n_max must be >= 3")
     pad = math.ceil((abs(p.lam) + 1) * (w.hi - w.lo))
     lo, hi = w.lo - pad, w.hi + pad
-    step = _full_step(p)
+    scale, offset, den = _full_form(p)
     unchecked = 0
     for z in w.members():
         v = z
         for m in range(1, n_max + 1):
-            v = step(v)
+            v = (scale * v + offset) // den
             if v < lo or v > hi:
                 unchecked += 1
                 break

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -181,11 +182,109 @@ def test_random_rational_stays_in_window_and_is_seeded():
 
 def test_cross_check_catches_a_tampered_form():
     # the oracle reads lam and mu, never Params.form: moving the form's
-    # offset moves the library's fixed points, and cross_check must see it
-    p = Params(Q(1, 2), Q(0))
+    # offset moves the library's fixed points (lam = 1/2) or 2-cycles
+    # (lam = -3/4), cross_check must see it, and every brute answer on the
+    # tampered Params stays what it is on a fresh one
     w = Window(-10, 10)
-    assert brute_fixed_points(p, w) == [-1, 0] and cross_check(p, w, []).agrees
-    scale, offset, den = p.form
-    object.__setattr__(p, "form", (scale, offset + 1, den))
-    verdict = cross_check(p, w, [])
-    assert not verdict.agrees and "fixed points" in verdict.detail
+    xs = [Q(-7, 3), Q(0), Q(5, 2), Q(10**12), Q(10**30 + 1, 7)]
+    for lam, mu, moved in [(Q(1, 2), Q(0), "fixed points"), (Q(-3, 4), Q(1, 2), "2-cycles")]:
+        p, fresh = Params(lam, mu), Params(lam, mu)
+        assert cross_check(p, w, []).agrees
+        scale, offset, den = p.form
+        object.__setattr__(p, "form", (scale, offset + 1, den))
+        verdict = cross_check(p, w, [])
+        assert not verdict.agrees and moved in verdict.detail
+        assert brute_fixed_points(p, w) == brute_fixed_points(fresh, w)
+        assert brute_two_cycles(p, w) == brute_two_cycles(fresh, w)
+        assert check_no_long_cycles(p, w, 5) == check_no_long_cycles(fresh, w, 5)
+        assert [brute_omega(p, x) for x in xs] == [brute_omega(fresh, x) for x in xs]
+    assert brute_fixed_points(Params(Q(1, 2), Q(0)), w) == [-1, 0]
+    assert brute_two_cycles(Params(Q(-3, 4), Q(1, 2)), w) == [(-1, 1)]
+
+
+# Reference iteration through a closure per map (and one more for the first
+# step at x = xn/xd). The inline oracle must agree with it verdict for
+# verdict, UNRESOLVED included.
+
+
+def _closure_step(p, xd=1):
+    a, b = p.lam.as_integer_ratio()
+    c, d = p.mu.as_integer_ratio()
+    scale, offset, den = a * d, c * b * xd, b * d * xd
+    return lambda n: (scale * n + offset) // den
+
+
+def _closure_omega(p, x, max_steps, escape_bound):
+    xn, xd = Q(x).as_integer_ratio()
+    step = _closure_step(p)
+    before = None
+    prev = _closure_step(p, xd)(xn)
+    cur = step(prev)
+    for _ in range(max_steps - 1):
+        if cur == prev:
+            return OmegaLimit.fixed(cur)
+        if before is not None and cur == before:
+            return OmegaLimit.two_cycle(min(prev, cur), max(prev, cur))
+        if abs(prev) > escape_bound and abs(cur) > escape_bound:
+            if prev > 0 and cur > prev:
+                return OmegaLimit.plus_inf()
+            if prev < 0 and cur < prev:
+                return OmegaLimit.minus_inf()
+            if (prev > 0) != (cur > 0):
+                return OmegaLimit.plus_minus_inf()
+        before, prev, cur = prev, cur, step(cur)
+    return UNRESOLVED
+
+
+def _closure_windows(p, w, n_max):
+    step = _closure_step(p)
+    fixed = [z for z in w.members() if step(z) == z]
+    pairs = [(z, step(z)) for z in w.members() if z < step(z) <= w.hi and step(step(z)) == z]
+    pad = math.ceil((abs(p.lam) + 1) * (w.hi - w.lo))
+    lo, hi = w.lo - pad, w.hi + pad
+    unchecked = 0
+    for z in w.members():
+        v = z
+        for m in range(1, n_max + 1):
+            v = step(v)
+            if v < lo or v > hi:
+                unchecked += 1
+                break
+            if v == z:
+                if m >= 3:
+                    return fixed, pairs, OracleVerdict(False, f"lambda={p.lam} mu={p.mu}: z={z} has minimal period {m}")
+                break
+    detail = f"unchecked: {unchecked} points left the padded window [{lo}, {hi}]" if unchecked else ""
+    return fixed, pairs, OracleVerdict(True, detail)
+
+
+def _seeded_maps(rng, count):
+    for _ in range(count):
+        n = rng.randint(2, 64)
+        lam = rng.choice([Q(0), Q(1), Q(-1), Q(-(n - 1), n), Q(-(n + 1), n), Q(rng.randint(-192, 192), rng.randint(1, 64))])
+        yield Params(lam, Q(rng.randint(-320, 320), rng.randint(1, 64)))
+
+
+def test_inline_brute_omega_matches_the_closure_iteration():
+    rng = random.Random(15)
+    kinds = set()
+    for p in _seeded_maps(rng, 160):
+        big = rng.randint(-(10**30), 10**30)
+        x = rng.choice([Q(big), Q(big, rng.randint(2, 64)), Q(rng.randint(-300, 300)), Q(rng.randint(-300, 300), rng.randint(2, 64))])
+        for max_steps in (2, 3, 64, 512):
+            for bound in (1, 50, 10**9):
+                want = _closure_omega(p, x, max_steps, bound)
+                assert brute_omega(p, x, max_steps, bound) == want, (p, x, max_steps, bound)
+                kinds.add(want.kind if isinstance(want, OmegaLimit) else "unresolved")
+    # every verdict occurs, so each branch of the loop was compared
+    assert kinds == {"fixed", "two_cycle", "plus_inf", "minus_inf", "plus_minus_inf", "unresolved"}
+
+
+def test_inline_window_scans_match_the_closure_iteration():
+    rng = random.Random(16)
+    for p in _seeded_maps(rng, 200):
+        lo = rng.randint(-60, 60)
+        w = Window(lo, lo + rng.choice([0, 1, 2, 9, 40]))
+        n_max = rng.randint(3, 6)
+        got = (brute_fixed_points(p, w), brute_two_cycles(p, w), check_no_long_cycles(p, w, n_max))
+        assert got == _closure_windows(p, w, n_max), (p, w, n_max)
