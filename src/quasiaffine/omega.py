@@ -8,7 +8,9 @@ negative-slope start is settled by an exact decision procedure on the
 on a periodic point or strictly passes every periodic point of the map,
 after which it can never return. A start on a periodic point, and so
 every start at lam = -1, is answered by the procedure's first step. No
-tolerances, no iteration caps.
+tolerances, no iteration caps. An answer allocates at most its own
+result: the lam >= 0 branch reads the fixed run as two ints, and the
+three escape verdicts are shared module-level constants.
 
 Limit sets depend on mu only through the map on Z, ``Params.form``, and
 ``omega_limit`` reads mu only through it and :func:`eval_map`. Only
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Params, Rational, RationalLike, eval_map, integer_step
-from .periodic import fixed_points, periodic_hull
+from .periodic import fixed_points, fixed_run, periodic_hull
 
 
 @dataclass(frozen=True)
@@ -56,17 +58,19 @@ class OmegaLimit:
     def two_cycle(cls, a: int, b: int) -> OmegaLimit:
         return cls("two_cycle", a=a, b=b)
 
+    # the three escapes carry no payload, and the class is frozen, so one
+    # shared instance of each serves every answer (built below the class)
     @classmethod
     def plus_inf(cls) -> OmegaLimit:
-        return cls("plus_inf")
+        return _PLUS_INF
 
     @classmethod
     def minus_inf(cls) -> OmegaLimit:
-        return cls("minus_inf")
+        return _MINUS_INF
 
     @classmethod
     def plus_minus_inf(cls) -> OmegaLimit:
-        return cls("plus_minus_inf")
+        return _PLUS_MINUS_INF
 
     @property
     def is_escape(self) -> bool:
@@ -78,6 +82,11 @@ class OmegaLimit:
         if self.kind == "two_cycle":
             return {"kind": "two_cycle", "a": self.a, "b": self.b}
         return {"kind": self.kind}
+
+
+_PLUS_INF = OmegaLimit("plus_inf")
+_MINUS_INF = OmegaLimit("minus_inf")
+_PLUS_MINUS_INF = OmegaLimit("plus_minus_inf")
 
 
 class CaseTag(Enum):
@@ -155,12 +164,16 @@ def omega_limit(p: Params, x: RationalLike) -> OmegaLimit:
 
     Every lam < 0 is settled by :func:`resolve_negative`. Otherwise the
     orbit enters Z after one step, z = f(x), and the answer follows from
-    that integer and the fixed run lo .. hi of :func:`fixed_points`,
-    without further iteration:
+    that integer and the fixed run lo .. hi of :func:`fixed_run` on
+    ``p.form``, read as two ints (no set object is built), without
+    further iteration:
 
+      lam = 1, 0 <= mu < 1 : fixed_run gives None, every integer is
+        fixed, so Fixed(z);
       0 <= lam < 1 : f is monotone, moves every w outside the run towards
         it and maps lo and hi to themselves, so Fixed(min(max(z, lo), hi));
-      lam >= 1, z in the fixed run : Fixed(z), the orbit has stopped;
+        the run is never empty here, as its interval is at least 1 wide;
+      lam >= 1, lo <= z <= hi : Fixed(z), the orbit has stopped;
       lam = 1  : f(w) = w + floor(mu), so +inf when mu >= 1, else -inf;
       lam > 1  : a non-fixed integer w has f(w) > w iff w > mu'/(1-lam), and
         f keeps it on that side, so +inf iff z > floor(mu'/(1 - lam)),
@@ -179,14 +192,17 @@ def omega_limit(p: Params, x: RationalLike) -> OmegaLimit:
     if scale < 0:
         return resolve_negative(p, x)
     z = eval_map(p, x)
-    fs = fixed_points(p)
+    run = fixed_run(scale, offset, den)
+    if run is None:
+        return OmegaLimit.fixed(z)
+    lo, hi = run
     if scale < den:
-        return OmegaLimit.fixed(min(max(z, fs.lo), fs.hi))
-    if z in fs:
+        return OmegaLimit.fixed(min(max(z, lo), hi))
+    if lo <= z <= hi:
         return OmegaLimit.fixed(z)
     if scale == den:
-        return OmegaLimit.plus_inf() if offset >= den else OmegaLimit.minus_inf()
-    return OmegaLimit.plus_inf() if z > offset // (den - scale) else OmegaLimit.minus_inf()
+        return _PLUS_INF if offset >= den else _MINUS_INF
+    return _PLUS_INF if z > offset // (den - scale) else _MINUS_INF
 
 
 def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:

@@ -147,20 +147,40 @@ def periodic_radius(p: Params) -> Rational:
     return 1 / abs(abs(p.lam) - 1) + 1
 
 
+def _escape_region(scale: int, offset: int, den: int) -> int:
+    """The start-free part 10*(ceil(|p*| + r) + 10^4) of :func:`escape_bound`
+    on the form f(z) = (scale*z + offset) // den, or 0 at |lam| = 1.
+
+    With lam = scale/den and mu = offset/den, |p*| = |offset|/near for
+    near = |den - scale|, and r = :func:`periodic_radius` = den/far + 1 for
+    far = ||scale| - den|, so ceil(|p*| + r) is one ceiling division of
+    integers over near*far, plus 1."""
+    far = abs(abs(scale) - den)
+    if far == 0:
+        return 0
+    near = abs(den - scale)
+    return 10 * (-(-(abs(offset) * far + den * near) // (near * far)) + 1 + 10**4)
+
+
+def _start_bound(region: int, x: Rational) -> int:
+    """max(region, 2*ceil(|x|) + 2), from the numerator and denominator of x."""
+    xn, xd = x.as_integer_ratio()
+    return max(region, 2 * -(-abs(xn) // xd) + 2)
+
+
 def escape_bound(p: Params, x: RationalLike) -> int:
     """Beyond this every orbit from x has left the periodic region for
     good, so an iterate past it is a genuine escape; below it, the start
     cannot fake one. A contracting orbit stays within |x - p*| + r of p*,
     so below |x| + 2|p*| + r: the 2|x| + 2 term covers it for huge starts.
+    The bound is max(10*(ceil(|p*| + r) + 10^4), 2*ceil(|x|) + 2), computed
+    on the oracle's own integer form (:func:`_escape_region`).
 
-    At |lam| = 1 there is no such region: lam = -1 orbits are periodic
-    from their first integer on, and lam = 1 moves a non-fixed orbit by
-    floor(mu) != 0 each step, never back, so passing the start suffices."""
-    x = as_rational(x)
-    if abs(p.lam) == 1:
-        return 2 * math.ceil(abs(x)) + 2
-    centre, r = p.mu / (1 - p.lam), periodic_radius(p)
-    return max(10 * (math.ceil(abs(centre) + r) + 10**4), 2 * math.ceil(abs(x)) + 2)
+    At |lam| = 1 there is no such region and the bound is 2*ceil(|x|) + 2:
+    lam = -1 orbits are periodic from their first integer on, and lam = 1
+    moves a non-fixed orbit by floor(mu) != 0 each step, never back, so
+    passing the start suffices."""
+    return _start_bound(_escape_region(*_full_form(p)), as_rational(x))
 
 
 def step_budget(p: Params, x: RationalLike) -> int:
@@ -239,10 +259,13 @@ def cross_check(p: Params, w: Window, samples: Sequence[RationalLike]) -> Oracle
     For each sample x the classification must match the iterated verdict;
     an UNRESOLVED brute verdict is accepted only when the classification
     says the orbit escapes (the one situation a finite budget cannot
-    certify). Each sample is iterated with the default budget first; only
-    a mismatch there is iterated again with :func:`step_budget` and
-    :func:`escape_bound`, which grow with lam, mu and x, and only a
-    mismatch that survives is reported.
+    certify). Each sample is iterated to :func:`escape_bound`, whose
+    start-free part is computed once per call, for at most
+    ``DEFAULT_MAX_STEPS`` steps; only a mismatch there is iterated again,
+    to the same bound, for :func:`step_budget` steps, which grows with
+    lam, mu and x, and only a mismatch that survives is reported. The
+    first pass is a prefix of the rerun, so its verdict is the rerun's or
+    UNRESOLVED.
     """
     got = fixed_points(p).clip(w.lo, w.hi)
     want = brute_fixed_points(p, w)
@@ -258,13 +281,15 @@ def cross_check(p: Params, w: Window, samples: Sequence[RationalLike]) -> Oracle
             False,
             f"lambda={p.lam} mu={p.mu}: 2-cycles {got_pairs} != brute {want_pairs} on [{w.lo}, {w.hi}]",
         )
+    region = _escape_region(*_full_form(p))
     for raw in samples:
         x = as_rational(raw)
         claimed = omega_limit(p, x)
-        if not _mismatch(claimed, brute_omega(p, x), DEFAULT_MAX_STEPS):
+        bound = _start_bound(region, x)
+        if not _mismatch(claimed, brute_omega(p, x, DEFAULT_MAX_STEPS, bound), DEFAULT_MAX_STEPS):
             continue
         max_steps = step_budget(p, x)
-        detail = _mismatch(claimed, brute_omega(p, x, max_steps, escape_bound(p, x)), max_steps)
+        detail = _mismatch(claimed, brute_omega(p, x, max_steps, bound), max_steps)
         if detail:
             return OracleVerdict(False, f"lambda={p.lam} mu={p.mu} x={x}: {detail}")
     return OracleVerdict(True, "")

@@ -13,6 +13,7 @@ from quasiaffine import (
     CaseTag,
     OmegaLimit,
     Params,
+    brute_omega,
     classify_case,
     count_fixed_points,
     count_two_cycles,
@@ -345,6 +346,43 @@ def test_omega_limit_matches_observed_tails():
             assert tail[-1] * tail[-2] < 0 and abs(tail[-1]) > abs(tail[-3])
 
 
+def test_omega_limit_at_unit_slope_with_every_integer_fixed():
+    # lam = 1, 0 <= mu < 1: f(z) = z on all of Z, so every start stops on f(x)
+    for mu in (Q(0), Q(1, 3), Q(99, 100)):
+        p = Params(Q(1), mu)
+        for x in (Q(-10**30), Q(-7, 2), Q(0), Q(5, 3), Q(2), Q(10**30 + 1, 3)):
+            assert omega_limit(p, x) == OmegaLimit.fixed(eval_map(p, x))
+
+
+def test_omega_limit_clamps_to_both_ends_of_the_fixed_run():
+    # lam = 9/10, mu = 5: f(z) = z exactly on 41..50; 0 <= lam < 1 moves
+    # every start outside the run onto its nearer end
+    p = Params(Q(9, 10), Q(5))
+    assert fixed_points(p).to_json() == {"kind": "range", "lo": 41, "hi": 50}
+    for x, z in [(Q(-1000), 41), (Q(81, 2), 41), (Q(41), 41), (Q(45), 45), (Q(50), 50), (Q(51), 50), (Q(10**20), 50)]:
+        assert omega_limit(p, x) == OmegaLimit.fixed(z) == brute_omega(p, x, 10**4, 10**25)
+    # lam = 0: the run is the single point floor(mu)
+    assert omega_limit(Params(Q(0), Q(-7, 2)), Q(10**9)) == OmegaLimit.fixed(-4)
+
+
+def test_omega_limit_expanding_inside_and_outside_the_fixed_run():
+    # lam = 11/10, mu = 5/2: f(z) = z exactly on -25..-16; off the run an
+    # orbit leaves on its own side of floor(mu'/(1 - lam)) = -25
+    p = Params(Q(11, 10), Q(5, 2))
+    assert fixed_points(p).to_json() == {"kind": "range", "lo": -25, "hi": -16}
+    cases = [
+        (Q(-25), OmegaLimit.fixed(-25)),
+        (Q(-20), OmegaLimit.fixed(-20)),
+        (Q(-16), OmegaLimit.fixed(-16)),
+        (Q(-15), OmegaLimit.plus_inf()),
+        (Q(10**6), OmegaLimit.plus_inf()),
+        (Q(-26), OmegaLimit.minus_inf()),
+        (Q(-10**6), OmegaLimit.minus_inf()),
+    ]
+    for x, want in cases:
+        assert omega_limit(p, x) == want == brute_omega(p, x, 10**4, 10**8)
+
+
 # ------------------------------------------------- integer-only query path
 
 
@@ -411,3 +449,14 @@ def test_omega_limit_json_and_escape_flag():
     assert OmegaLimit.minus_inf().to_json() == {"kind": "minus_inf"}
     assert OmegaLimit.plus_minus_inf().to_json() == {"kind": "plus_minus_inf"}
     assert OmegaLimit.plus_inf().is_escape and not OmegaLimit.fixed(0).is_escape
+
+
+def test_escape_verdicts_are_shared_constants():
+    for kind, make in (("plus_inf", OmegaLimit.plus_inf), ("minus_inf", OmegaLimit.minus_inf),
+                       ("plus_minus_inf", OmegaLimit.plus_minus_inf)):
+        assert make() is make()
+        assert make() == OmegaLimit(kind) and hash(make()) == hash(OmegaLimit(kind))
+        assert make().kind == kind and make().is_escape
+    assert omega_limit(Params(Q(2), Q(0)), Q(1)) is OmegaLimit.plus_inf()
+    assert omega_limit(Params(Q(1), Q(-1)), Q(0)) is OmegaLimit.minus_inf()
+    assert omega_limit(Params(Q(-3), Q(0)), Q(1)) is OmegaLimit.plus_minus_inf()

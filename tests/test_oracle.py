@@ -128,11 +128,82 @@ def test_cross_check_over_random_params():
 
 def test_cross_check_reruns_a_large_start_with_a_derived_budget():
     # 10^12 passes the default escape bound of 10^9 with alternating signs
-    # long before it comes in to 0, so the default run alone would refute
+    # long before it comes in to 0, so a run to that bound would refute;
+    # cross_check's first pass already iterates to the derived bound
+    # 2*10^12 + 2, which the orbit never passes, and agrees without a rerun
     p = Params(Q(-1, 2), Q(0))
     assert brute_omega(p, Q(10**12)) == OmegaLimit.plus_minus_inf()
     assert brute_omega(p, Q(10**12), oracle.step_budget(p, 10**12), oracle.escape_bound(p, 10**12)) == OmegaLimit.fixed(0)
     assert cross_check(p, Window(-10, 10), [10**12]) == OracleVerdict(True, "")
+
+
+def _record_brute_omega(monkeypatch, calls):
+    """Replace oracle.brute_omega by a wrapper that logs (max_steps, escape_bound, verdict)."""
+    real = oracle.brute_omega
+
+    def recording(p, x, max_steps=oracle.DEFAULT_MAX_STEPS, escape_bound=oracle.DEFAULT_ESCAPE_BOUND):
+        verdict = real(p, x, max_steps, escape_bound)
+        calls.append((max_steps, escape_bound, verdict))
+        return verdict
+
+    monkeypatch.setattr(oracle, "brute_omega", recording)
+
+
+def test_cross_check_reruns_an_unresolved_fixed_point_with_the_step_budget(monkeypatch):
+    # from 0 the orbit of floor(99z/100 + 1000) creeps up to the fixed run
+    # 99901..100000 and stops on its low end after more than 512 steps but
+    # fewer than 1,000, so the first pass is UNRESOLVED on a claimed fixed
+    # point; the rerun keeps the escape bound and raises only the budget
+    p, x = Params(Q(99, 100), Q(1000)), Q(0)
+    bound, budget = oracle.escape_bound(p, x), oracle.step_budget(p, x)
+    assert budget == 2112
+    assert brute_omega(p, x, 1000, bound) == OmegaLimit.fixed(99901)
+    calls = []
+    _record_brute_omega(monkeypatch, calls)
+    assert cross_check(p, Window(-10, 10), [x]) == OracleVerdict(True, "")
+    assert calls == [(512, bound, UNRESOLVED), (budget, bound, OmegaLimit.fixed(99901))]
+
+
+def test_first_pass_bound_keeps_the_periodic_region(monkeypatch):
+    # lam = 5/12, mu = 28: from x = 5/3 the orbit climbs 28, 39, 44, ... to
+    # the fixed point 47; past the start-only bound 2*ceil(|x|) + 2 = 6 that
+    # climb looks like an escape, so both passes must keep the region term
+    p, x = Params(Q(5, 12), Q(28)), Q(5, 3)
+    assert brute_omega(p, x, 512, 6) == OmegaLimit.plus_inf()
+    assert oracle.escape_bound(p, x) == 10 * (51 + 10**4)  # ceil(p* + r) = ceil(48 + 19/7)
+    calls = []
+    _record_brute_omega(monkeypatch, calls)
+    assert cross_check(p, Window(-10, 10), [x]) == OracleVerdict(True, "")
+    assert calls == [(512, oracle.escape_bound(p, x), OmegaLimit.fixed(47))]
+
+
+def test_cross_check_confirms_every_sample_on_verify_grid_columns(monkeypatch):
+    # columns shaped like the verify-grid benchmark: with the derived escape
+    # bound in the first pass, no sample is left UNRESOLVED, escapes at
+    # lam = 1 included; cross_check reaches the four functions it compares
+    # through module attributes, so a wrapper (or a tracer) sees each call
+    calls = []
+    _record_brute_omega(monkeypatch, calls)
+    counts = {name: 0 for name in ("brute_fixed_points", "brute_two_cycles", "omega_limit")}
+    for name in counts:
+        real = getattr(oracle, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counting)
+    rng = random.Random(16)
+    w = Window(-60, 60)
+    cells = 0
+    for lam in (Q(1), Q(17, 16), Q(-17, 16), Q(2), Q(-2)):
+        for mu in (Q(n, 2) for n in range(-4, 6)):
+            samples = [random_rational(rng, w.lo, w.hi) for _ in range(8)]
+            assert cross_check(Params(lam, mu), w, samples).agrees
+            cells += 1
+    assert counts == {"brute_fixed_points": cells, "brute_two_cycles": cells, "omega_limit": 8 * cells}
+    assert len(calls) == 8 * cells
+    assert sum(verdict is UNRESOLVED for _, _, verdict in calls) == 0
 
 
 def test_cross_check_still_reports_what_the_rerun_confirms(monkeypatch):
@@ -156,6 +227,30 @@ def test_cross_check_still_reports_what_the_rerun_confirms(monkeypatch):
 def test_derived_budget(lam, mu, x, steps, bound):
     p = Params(lam, mu)
     assert (oracle.step_budget(p, x), oracle.escape_bound(p, x)) == (steps, bound)
+
+
+def test_escape_bound_matches_the_fraction_formula():
+    # the integer bound against its defining formula on Fractions:
+    # max(10*(ceil(|mu/(1 - lam)| + periodic_radius) + 10^4), 2*ceil(|x|) + 2),
+    # and 2*ceil(|x|) + 2 alone at |lam| = 1
+    def reference(p, x):
+        if abs(p.lam) == 1:
+            return 2 * math.ceil(abs(x)) + 2
+        region = math.ceil(abs(p.mu / (1 - p.lam)) + oracle.periodic_radius(p))
+        return max(10 * (region + 10**4), 2 * math.ceil(abs(x)) + 2)
+
+    rng = random.Random(1616)
+    for _ in range(1500):
+        b = rng.choice((1, 3, 64, 10**6 + 3, 10**15 + 37))
+        near = rng.choice((-b, b)) + rng.randint(-3, 3)
+        lam = Q(rng.choice((near, rng.randint(-3 * b, 3 * b), -b, b)), b)
+        mu = Q(rng.randint(-(10**30), 10**30), rng.randint(1, 10**6)) if rng.random() < 0.5 else Q(rng.randint(-99, 99), rng.randint(1, 9))
+        x = Q(rng.randint(-(10**30), 10**30), rng.randint(1, 1000)) if rng.random() < 0.3 else Q(rng.randint(-99, 99), rng.randint(1, 9))
+        p = Params(lam, mu)
+        assert oracle.escape_bound(p, x) == reference(p, x), (lam, mu, x)
+    for lam in (Q(1), Q(-1)):
+        for x in (Q(0), Q(-7, 2), Q(7, 2), Q(-(10**30) - 1, 3)):
+            assert oracle.escape_bound(Params(lam, Q(10**30, 7)), x) == 2 * math.ceil(abs(x)) + 2
 
 
 def test_window_validation():
