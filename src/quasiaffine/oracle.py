@@ -6,17 +6,17 @@ classification in :mod:`quasiaffine.omega` (except in
 oracles only ever apply the map itself: windowed enumeration for
 periodic points, plain orbit iteration with pattern detection for limit
 sets, and a bounded search refuting cycles of length >= 3, all stepping
-inline on their own integer form (:func:`_full_form`). Iteration budgets are fixed, or
-derived from lam, mu and the start alone (:func:`step_budget`, :func:`escape_bound`).
+inline on their own integer form (:func:`_full_form`). Iteration budgets
+are fixed, or derived in integers on that form from lam, mu and the
+start alone (:func:`step_budget`, :func:`escape_bound`).
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .core import Params, Rational, RationalLike, as_rational
 from .omega import OmegaLimit, omega_limit
@@ -136,36 +136,49 @@ def brute_omega(
 
 
 def periodic_radius(p: Params) -> Rational:
-    """The bound 1/||lam| - 1| + 1 on |z - p*| over all periodic points z,
-    with p* = mu/(1 - lam) and |lam| != 1.
+    """The bound r = 1/||lam| - 1| + 1 on |z - p*| over all periodic points z,
+    with p* = mu/(1 - lam) and |lam| != 1, read off :func:`_full_form` as
+    den/far + 1 for far = ||scale| - den|.
 
     A fixed point has |(lam - 1)(z - p*)| < 1, and a 2-cycle {u, v} with
     v = lam*u + mu - e1, u = lam*v + mu - e2 (e1, e2 in [0, 1)) gives
     |u - p*|*|1 - lam^2| <= |lam| + 1. The bound comes from the map
     alone, never from the closed forms.
     """
-    return 1 / abs(abs(p.lam) - 1) + 1
+    scale, _, den = _full_form(p)
+    return Fraction(den, abs(abs(scale) - den)) + 1
 
 
-def _escape_region(scale: int, offset: int, den: int) -> int:
-    """The start-free part 10*(ceil(|p*| + r) + 10^4) of :func:`escape_bound`
-    on the form f(z) = (scale*z + offset) // den, or 0 at |lam| = 1.
+def _budgets(p: Params) -> Callable[[Rational], tuple[int, int]]:
+    """The map x -> (:func:`step_budget`, :func:`escape_bound`) of one
+    parameter pair, with every start-free term derived once, in integers,
+    on f(z) = (scale*z + offset) // den.
 
-    With lam = scale/den and mu = offset/den, |p*| = |offset|/near for
-    near = |den - scale|, and r = :func:`periodic_radius` = den/far + 1 for
-    far = ||scale| - den|, so ceil(|p*| + r) is one ceiling division of
-    integers over near*far, plus 1."""
-    far = abs(abs(scale) - den)
-    if far == 0:
-        return 0
-    near = abs(den - scale)
-    return 10 * (-(-(abs(offset) * far + den * near) // (near * far)) + 1 + 10**4)
+    With far = ||scale| - den| and near = den - scale, lam = scale/den
+    gives r = ceil(den/far) + 1 (the ceiling of :func:`periodic_radius`)
+    and p* = offset/near, so ceil(|p*| + den/far + 1) is one ceiling
+    division over |near|*far, plus 1. Per start x = xn/xd only the terms
+    in xn and xd remain: 2*ceil(|x|) + 2, and for |lam| < 1 (near > 0)
+    ceil(|x - p*|) = ceil(|xn*near - offset*xd| / (xd*near)). At
+    |lam| = 1 (far = 0) there is no region: r = 0, the region is 0 and
+    the budget is DEFAULT_MAX_STEPS."""
+    scale, offset, den = _full_form(p)
+    far, near = abs(abs(scale) - den), den - scale
+    r = region = 0
+    if far:
+        r = -(-den // far) + 1
+        region = 10 * (-(-(abs(offset) * far + den * abs(near)) // (abs(near) * far)) + 1 + 10**4)
+    settle, contracting = 4 * r + 8, abs(scale) < den
 
+    def budgets(x: Rational) -> tuple[int, int]:
+        xn, xd = x.as_integer_ratio()
+        steps = settle
+        if contracting:
+            distance = -(-abs(xn * near - offset * xd) // (xd * near))
+            steps += (r - 1) * (distance + 2).bit_length()
+        return max(DEFAULT_MAX_STEPS, steps), max(region, 2 * -(-abs(xn) // xd) + 2)
 
-def _start_bound(region: int, x: Rational) -> int:
-    """max(region, 2*ceil(|x|) + 2), from the numerator and denominator of x."""
-    xn, xd = x.as_integer_ratio()
-    return max(region, 2 * -(-abs(xn) // xd) + 2)
+    return budgets
 
 
 def escape_bound(p: Params, x: RationalLike) -> int:
@@ -173,19 +186,20 @@ def escape_bound(p: Params, x: RationalLike) -> int:
     good, so an iterate past it is a genuine escape; below it, the start
     cannot fake one. A contracting orbit stays within |x - p*| + r of p*,
     so below |x| + 2|p*| + r: the 2|x| + 2 term covers it for huge starts.
-    The bound is max(10*(ceil(|p*| + r) + 10^4), 2*ceil(|x|) + 2), computed
-    on the oracle's own integer form (:func:`_escape_region`).
+    The bound is max(10*(ceil(|p*| + r) + 10^4), 2*ceil(|x|) + 2), with
+    r = :func:`periodic_radius`, computed in integers by :func:`_budgets`.
 
     At |lam| = 1 there is no such region and the bound is 2*ceil(|x|) + 2:
     lam = -1 orbits are periodic from their first integer on, and lam = 1
     moves a non-fixed orbit by floor(mu) != 0 each step, never back, so
     passing the start suffices."""
-    return _start_bound(_escape_region(*_full_form(p)), as_rational(x))
+    return _budgets(p)(as_rational(x))[1]
 
 
 def step_budget(p: Params, x: RationalLike) -> int:
     """Steps after which the orbit of x has settled, if it ever does, and
-    never fewer than DEFAULT_MAX_STEPS.
+    never fewer than DEFAULT_MAX_STEPS; computed in integers by
+    :func:`_budgets`.
 
     With |lam| != 1 and r = ceil(:func:`periodic_radius`), the periodic
     points lie within r of p*. Inside that region the second iterate is
@@ -197,14 +211,7 @@ def step_budget(p: Params, x: RationalLike) -> int:
     within r. At |lam| = 1, where the radius is undefined, every orbit
     stops or moves off at once.
     """
-    if abs(p.lam) == 1:
-        return DEFAULT_MAX_STEPS
-    r = math.ceil(periodic_radius(p))
-    steps = 4 * r + 8
-    if abs(p.lam) < 1:
-        distance = math.ceil(abs(as_rational(x) - p.mu / (1 - p.lam)))
-        steps += (r - 1) * (distance + 2).bit_length()
-    return max(DEFAULT_MAX_STEPS, steps)
+    return _budgets(p)(as_rational(x))[0]
 
 
 def _mismatch(claimed: OmegaLimit, observed: BruteOmega, max_steps: int) -> str:
@@ -228,9 +235,9 @@ def check_no_long_cycles(p: Params, w: Window, n_max: int) -> OracleVerdict:
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    pad = math.ceil((abs(p.lam) + 1) * (w.hi - w.lo))
-    lo, hi = w.lo - pad, w.hi + pad
     scale, offset, den = _full_form(p)
+    pad = -(-(abs(scale) + den) * (w.hi - w.lo) // den)
+    lo, hi = w.lo - pad, w.hi + pad
     unchecked = 0
     for z in w.members():
         v = z
@@ -259,13 +266,12 @@ def cross_check(p: Params, w: Window, samples: Sequence[RationalLike]) -> Oracle
     For each sample x the classification must match the iterated verdict;
     an UNRESOLVED brute verdict is accepted only when the classification
     says the orbit escapes (the one situation a finite budget cannot
-    certify). Each sample is iterated to :func:`escape_bound`, whose
-    start-free part is computed once per call, for at most
-    ``DEFAULT_MAX_STEPS`` steps; only a mismatch there is iterated again,
-    to the same bound, for :func:`step_budget` steps, which grows with
-    lam, mu and x, and only a mismatch that survives is reported. The
-    first pass is a prefix of the rerun, so its verdict is the rerun's or
-    UNRESOLVED.
+    certify). Each sample is iterated once, to :func:`escape_bound`, for
+    :func:`step_budget` steps, both derived by :func:`_budgets` with their
+    start-free terms computed once per call. A claimed escape gets only
+    ``DEFAULT_MAX_STEPS``: an UNRESOLVED verdict already confirms it, so
+    more steps could only cost time. Iteration stops at its first
+    detection, so a larger budget never changes a verdict it resolves.
     """
     got = fixed_points(p).clip(w.lo, w.hi)
     want = brute_fixed_points(p, w)
@@ -281,14 +287,12 @@ def cross_check(p: Params, w: Window, samples: Sequence[RationalLike]) -> Oracle
             False,
             f"lambda={p.lam} mu={p.mu}: 2-cycles {got_pairs} != brute {want_pairs} on [{w.lo}, {w.hi}]",
         )
-    region = _escape_region(*_full_form(p))
+    budgets = _budgets(p)
     for raw in samples:
         x = as_rational(raw)
         claimed = omega_limit(p, x)
-        bound = _start_bound(region, x)
-        if not _mismatch(claimed, brute_omega(p, x, DEFAULT_MAX_STEPS, bound), DEFAULT_MAX_STEPS):
-            continue
-        max_steps = step_budget(p, x)
+        steps, bound = budgets(x)
+        max_steps = DEFAULT_MAX_STEPS if claimed.is_escape else steps
         detail = _mismatch(claimed, brute_omega(p, x, max_steps, bound), max_steps)
         if detail:
             return OracleVerdict(False, f"lambda={p.lam} mu={p.mu} x={x}: {detail}")

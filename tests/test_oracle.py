@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 import random
 from fractions import Fraction as Q
@@ -21,8 +23,10 @@ from quasiaffine import (
     brute_two_cycles,
     check_no_long_cycles,
     cross_check,
+    omega_limit,
     random_rational,
 )
+from quasiaffine.sweep import grid_values
 
 
 @pytest.mark.parametrize(
@@ -96,6 +100,18 @@ def test_check_no_long_cycles_counts_skipped_points():
     # everything stays inside the padding for a contraction
     calm = check_no_long_cycles(Params(Q(1, 2), Q(0)), Window(-10, 10), 3)
     assert calm == OracleVerdict(True, "")
+    # the padded window is [lo - P, hi + P] with P = ceil((|lam| + 1)*(hi - lo))
+    rng = random.Random(221)
+    padded = 0
+    for p in _seeded_maps(rng, 200):
+        lo = rng.randint(-60, 60)
+        w = Window(lo, lo + rng.choice([1, 2, 9, 40]))
+        pad = math.ceil((abs(p.lam) + 1) * (w.hi - w.lo))
+        detail = check_no_long_cycles(p, w, 4).detail
+        if detail:
+            assert detail.endswith(f" left the padded window [{w.lo - pad}, {w.hi + pad}]"), (p, w)
+            padded += 1
+    assert padded > 50
 
 
 def test_check_no_long_cycles_rejects_small_n_max():
@@ -126,11 +142,11 @@ def test_cross_check_over_random_params():
         assert cross_check(p, w, samples).agrees
 
 
-def test_cross_check_reruns_a_large_start_with_a_derived_budget():
+def test_cross_check_iterates_a_large_start_to_a_derived_bound():
     # 10^12 passes the default escape bound of 10^9 with alternating signs
     # long before it comes in to 0, so a run to that bound would refute;
-    # cross_check's first pass already iterates to the derived bound
-    # 2*10^12 + 2, which the orbit never passes, and agrees without a rerun
+    # cross_check iterates to the derived bound 2*10^12 + 2, which the
+    # orbit never passes, and agrees
     p = Params(Q(-1, 2), Q(0))
     assert brute_omega(p, Q(10**12)) == OmegaLimit.plus_minus_inf()
     assert brute_omega(p, Q(10**12), oracle.step_budget(p, 10**12), oracle.escape_bound(p, 10**12)) == OmegaLimit.fixed(0)
@@ -149,11 +165,11 @@ def _record_brute_omega(monkeypatch, calls):
     monkeypatch.setattr(oracle, "brute_omega", recording)
 
 
-def test_cross_check_reruns_an_unresolved_fixed_point_with_the_step_budget(monkeypatch):
+def test_cross_check_gives_a_claimed_fixed_point_the_step_budget_in_one_pass(monkeypatch):
     # from 0 the orbit of floor(99z/100 + 1000) creeps up to the fixed run
     # 99901..100000 and stops on its low end after more than 512 steps but
-    # fewer than 1,000, so the first pass is UNRESOLVED on a claimed fixed
-    # point; the rerun keeps the escape bound and raises only the budget
+    # fewer than 1,000; a claimed fixed point is iterated once, for the
+    # step budget, to the escape bound
     p, x = Params(Q(99, 100), Q(1000)), Q(0)
     bound, budget = oracle.escape_bound(p, x), oracle.step_budget(p, x)
     assert budget == 2112
@@ -161,13 +177,26 @@ def test_cross_check_reruns_an_unresolved_fixed_point_with_the_step_budget(monke
     calls = []
     _record_brute_omega(monkeypatch, calls)
     assert cross_check(p, Window(-10, 10), [x]) == OracleVerdict(True, "")
-    assert calls == [(512, bound, UNRESOLVED), (budget, bound, OmegaLimit.fixed(99901))]
+    assert calls == [(budget, bound, OmegaLimit.fixed(99901))]
+
+
+def test_cross_check_gives_a_claimed_escape_only_the_default_budget(monkeypatch):
+    # at lam = -1001/1000 the orbit of 700 spirals out by a factor 1.001 a
+    # step: UNRESOLVED confirms the claimed {-inf, +inf}, so the step budget
+    # of 4012 would only cost time
+    p, x = Params(Q(-1001, 1000), Q(1, 2)), Q(700)
+    assert omega_limit(p, x) == OmegaLimit.plus_minus_inf()
+    assert (oracle.escape_bound(p, x), oracle.step_budget(p, x)) == (110020, 4012)
+    calls = []
+    _record_brute_omega(monkeypatch, calls)
+    assert cross_check(p, Window(-10, 10), [x]) == OracleVerdict(True, "")
+    assert calls == [(512, 110020, UNRESOLVED)]
 
 
 def test_first_pass_bound_keeps_the_periodic_region(monkeypatch):
     # lam = 5/12, mu = 28: from x = 5/3 the orbit climbs 28, 39, 44, ... to
     # the fixed point 47; past the start-only bound 2*ceil(|x|) + 2 = 6 that
-    # climb looks like an escape, so both passes must keep the region term
+    # climb looks like an escape, so the bound must keep the region term
     p, x = Params(Q(5, 12), Q(28)), Q(5, 3)
     assert brute_omega(p, x, 512, 6) == OmegaLimit.plus_inf()
     assert oracle.escape_bound(p, x) == 10 * (51 + 10**4)  # ceil(p* + r) = ceil(48 + 19/7)
@@ -179,9 +208,10 @@ def test_first_pass_bound_keeps_the_periodic_region(monkeypatch):
 
 def test_cross_check_confirms_every_sample_on_verify_grid_columns(monkeypatch):
     # columns shaped like the verify-grid benchmark: with the derived escape
-    # bound in the first pass, no sample is left UNRESOLVED, escapes at
-    # lam = 1 included; cross_check reaches the four functions it compares
-    # through module attributes, so a wrapper (or a tracer) sees each call
+    # bound, no sample is left UNRESOLVED, escapes at lam = 1 included, and
+    # each sample is iterated once; cross_check reaches the four functions it
+    # compares through module attributes, so a wrapper (or a tracer) sees
+    # each call
     calls = []
     _record_brute_omega(monkeypatch, calls)
     counts = {name: 0 for name in ("brute_fixed_points", "brute_two_cycles", "omega_limit")}
@@ -206,7 +236,7 @@ def test_cross_check_confirms_every_sample_on_verify_grid_columns(monkeypatch):
     assert sum(verdict is UNRESOLVED for _, _, verdict in calls) == 0
 
 
-def test_cross_check_still_reports_what_the_rerun_confirms(monkeypatch):
+def test_cross_check_reports_what_iteration_confirms(monkeypatch):
     monkeypatch.setattr(oracle, "omega_limit", lambda p, x: OmegaLimit.fixed(7))
     verdict = cross_check(Params(Q(1, 2), Q(0)), Window(-10, 10), [Q(3)])
     assert verdict == OracleVerdict(
@@ -229,16 +259,36 @@ def test_derived_budget(lam, mu, x, steps, bound):
     assert (oracle.step_budget(p, x), oracle.escape_bound(p, x)) == (steps, bound)
 
 
-def test_escape_bound_matches_the_fraction_formula():
-    # the integer bound against its defining formula on Fractions:
-    # max(10*(ceil(|mu/(1 - lam)| + periodic_radius) + 10^4), 2*ceil(|x|) + 2),
-    # and 2*ceil(|x|) + 2 alone at |lam| = 1
-    def reference(p, x):
-        if abs(p.lam) == 1:
-            return 2 * math.ceil(abs(x)) + 2
-        region = math.ceil(abs(p.mu / (1 - p.lam)) + oracle.periodic_radius(p))
-        return max(10 * (region + 10**4), 2 * math.ceil(abs(x)) + 2)
+# The budgets' defining formulas on Fractions, as the oracle computed them
+# before it derived them in integers on its own form.
 
+
+def _fraction_radius(p):
+    return 1 / abs(abs(p.lam) - 1) + 1
+
+
+def _fraction_escape_bound(p, x):
+    if abs(p.lam) == 1:
+        return 2 * math.ceil(abs(x)) + 2
+    region = math.ceil(abs(p.mu / (1 - p.lam)) + _fraction_radius(p))
+    return max(10 * (region + 10**4), 2 * math.ceil(abs(x)) + 2)
+
+
+def _fraction_step_budget(p, x):
+    if abs(p.lam) == 1:
+        return oracle.DEFAULT_MAX_STEPS
+    r = math.ceil(_fraction_radius(p))
+    steps = 4 * r + 8
+    if abs(p.lam) < 1:
+        distance = math.ceil(abs(Q(x) - p.mu / (1 - p.lam)))
+        steps += (r - 1) * (distance + 2).bit_length()
+    return max(oracle.DEFAULT_MAX_STEPS, steps)
+
+
+def test_escape_bound_matches_the_fraction_formula():
+    # the integer budgets against their defining formulas on Fractions:
+    # escape bound max(10*(ceil(|mu/(1 - lam)| + r) + 10^4), 2*ceil(|x|) + 2),
+    # and 2*ceil(|x|) + 2 alone at |lam| = 1; step budget and radius r
     rng = random.Random(1616)
     for _ in range(1500):
         b = rng.choice((1, 3, 64, 10**6 + 3, 10**15 + 37))
@@ -247,10 +297,128 @@ def test_escape_bound_matches_the_fraction_formula():
         mu = Q(rng.randint(-(10**30), 10**30), rng.randint(1, 10**6)) if rng.random() < 0.5 else Q(rng.randint(-99, 99), rng.randint(1, 9))
         x = Q(rng.randint(-(10**30), 10**30), rng.randint(1, 1000)) if rng.random() < 0.3 else Q(rng.randint(-99, 99), rng.randint(1, 9))
         p = Params(lam, mu)
-        assert oracle.escape_bound(p, x) == reference(p, x), (lam, mu, x)
+        assert oracle.escape_bound(p, x) == _fraction_escape_bound(p, x), (lam, mu, x)
+        assert oracle.step_budget(p, x) == _fraction_step_budget(p, x), (lam, mu, x)
+        if abs(lam) != 1:
+            assert oracle.periodic_radius(p) == _fraction_radius(p), (lam, mu)
     for lam in (Q(1), Q(-1)):
         for x in (Q(0), Q(-7, 2), Q(7, 2), Q(-(10**30) - 1, 3)):
-            assert oracle.escape_bound(Params(lam, Q(10**30, 7)), x) == 2 * math.ceil(abs(x)) + 2
+            p = Params(lam, Q(10**30, 7))
+            assert oracle.escape_bound(p, x) == 2 * math.ceil(abs(x)) + 2
+            assert oracle.step_budget(p, x) == oracle.DEFAULT_MAX_STEPS
+        with pytest.raises(ZeroDivisionError):
+            oracle.periodic_radius(Params(lam, Q(0)))
+
+
+def _two_pass_cross_check(p, w, samples):
+    """The sample loop cross_check ran before it iterated each sample once:
+    DEFAULT_MAX_STEPS steps first, then only a mismatch again for the step
+    budget, both to the escape bound. Returns the verdict, the samples it
+    examined and how many of them it iterated twice."""
+    verdict = cross_check(p, w, [])
+    if not verdict.agrees:
+        return verdict, 0, 0
+    reruns = 0
+    for seen, raw in enumerate(samples, 1):
+        x = Q(raw)
+        claimed = oracle.omega_limit(p, x)
+        bound = _fraction_escape_bound(p, x)
+        if not oracle._mismatch(claimed, brute_omega(p, x, 512, bound), 512):
+            continue
+        reruns += 1
+        max_steps = _fraction_step_budget(p, x)
+        detail = oracle._mismatch(claimed, brute_omega(p, x, max_steps, bound), max_steps)
+        if detail:
+            return OracleVerdict(False, f"lambda={p.lam} mu={p.mu} x={x}: {detail}"), seen, reruns
+    return OracleVerdict(True, ""), len(samples), reruns
+
+
+def test_one_pass_matches_the_two_pass_verdicts(monkeypatch):
+    # seeded maps with slopes at and next to +-1 and at +-(n +- 1)/n, starts
+    # up to 10^30, and some samples claimed wrongly (Fixed(7), +inf): the
+    # verdicts, details included, are the two-pass loop's, and each examined
+    # sample is iterated exactly once
+    rng = random.Random(1717)
+    real = oracle.omega_limit
+    wrong = {}
+    monkeypatch.setattr(oracle, "omega_limit", lambda p, x: wrong.get(x) or real(p, x))
+    calls = []
+    _record_brute_omega(monkeypatch, calls)
+    kinds, reruns = set(), 0
+    w = Window(-30, 30)
+    for _ in range(90):
+        n = rng.randint(2, 48)
+        lam = rng.choice([Q(1), Q(-1), Q(n - 1, n), Q(n + 1, n), -Q(n - 1, n), -Q(n + 1, n), Q(rng.randint(-3 * n, 3 * n), n)])
+        p = Params(lam, Q(rng.randint(-40 * n, 40 * n), rng.randint(1, 16)))
+        centre = p.mu / (1 - p.lam) if lam != 1 else Q(0)
+        samples = [
+            rng.choice([random_rational(rng, w.lo, w.hi), Q(rng.randint(-(10**30), 10**30), rng.randint(1, 9)), centre + rng.randint(-3, 3)])
+            for _ in range(4)
+        ]
+        wrong.clear()
+        for x in samples:
+            if rng.random() < 0.15:
+                wrong[x] = rng.choice([OmegaLimit.fixed(7), OmegaLimit.plus_inf()])
+        want, seen, rerun = _two_pass_cross_check(p, w, samples)
+        del calls[:]
+        assert cross_check(p, w, samples) == want, (p, samples)
+        assert len(calls) == seen, (p, samples)
+        kinds.add("agrees" if want.agrees else "unresolved" if "unresolved after" in want.detail else "refuted")
+        reruns += rerun
+    # agreements, refuted claims and unresolved claims all occur, and the
+    # two-pass loop did rerun samples
+    assert kinds == {"agrees", "refuted", "unresolved"} and reruns > 20
+
+
+@pytest.mark.parametrize(
+    "lam_range, mu_range, lo, seed, reran",
+    [
+        ((Q(95, 100), Q(99, 100), Q(1, 100)), (Q(990), Q(1010), Q(5)), -60, 5, 40),
+        ((Q(-1001, 1000), Q(-999, 1000), Q(1, 1000)), (Q(-1, 2), Q(1, 2), Q(1, 4)), -800, 6, 7),
+    ],
+)
+def test_one_pass_on_grids_the_two_pass_loop_reran(monkeypatch, lam_range, mu_range, lo, seed, reran):
+    # the cells and samples of `quasiaffine verify --samples 8` on grids where
+    # the two-pass loop iterated some samples twice: one iteration per sample
+    rng = random.Random(seed)
+    w = Window(lo, -lo)
+    calls = []
+    _record_brute_omega(monkeypatch, calls)
+    total = samples_seen = 0
+    for lam in grid_values(*lam_range):
+        for mu in grid_values(*mu_range):
+            p = Params(lam, mu)
+            samples = [random_rational(rng, w.lo, w.hi) for _ in range(8)]
+            assert cross_check(p, w, samples) == OracleVerdict(True, "")
+            samples_seen += len(samples)
+            assert len(calls) == samples_seen
+            want, _, rerun = _two_pass_cross_check(p, w, samples)
+            assert want.agrees
+            total += rerun
+    assert total == reran
+
+
+def test_oracle_never_consults_the_closed_forms():
+    # agreement is evidence only while the oracle steps the map on its own:
+    # it reads no Params.form, imports only values and parsing from core, and
+    # names the closed forms only inside cross_check
+    tree = ast.parse(inspect.getsource(oracle))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "form"]
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+        assert not (isinstance(node, ast.Import) and any(a.name.startswith("quasiaffine") for a in node.names))
+    assert imported["core"] <= {"Params", "Rational", "RationalLike", "as_rational"}
+    assert imported["omega"] <= {"OmegaLimit", "omega_limit"}
+    assert imported["periodic"] <= {"fixed_points", "two_cycles"}
+    assert set(imported) == {"core", "omega", "periodic"}
+    closed = {"fixed_points", "two_cycles", "omega_limit"}
+    (check,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "cross_check"]
+    inside = {id(node) for node in ast.walk(check)}
+    named = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in closed]
+    assert {node.id for node in named} == closed
+    assert [node.id for node in named if id(node) not in inside] == []
 
 
 def test_window_validation():
