@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as Q
@@ -254,10 +255,10 @@ def test_resolve_negative_can_land_on_the_fixed_point():
 # ------------------------------------------------------------ lam = -1 regime
 
 
-def test_resolve_negative_reads_mu_only_through_the_form(monkeypatch):
-    # for lam = a/b, mu and floor(b*mu)/b give the same map on Z, so from
-    # integer starts across the periodic hull and just outside it the
-    # decision must take the same steps to the same limit for both
+@pytest.fixture
+def counted_resolve(monkeypatch):
+    """resolve_negative(p, x) -> (answer, calls of the step closures that
+    integer_step hands to it)."""
     calls = [0]
 
     def counted(p):
@@ -271,11 +272,21 @@ def test_resolve_negative_reads_mu_only_through_the_form(monkeypatch):
 
     monkeypatch.setattr(omega_module, "integer_step", counted)
 
-    def run(p, z):
+    def run(p, x):
         calls[0] = 0
-        return resolve_negative(p, z), calls[0]
+        return resolve_negative(p, x), calls[0]
 
+    return run
+
+
+def test_resolve_negative_reads_mu_only_through_the_form(counted_resolve):
+    # for lam = a/b, mu and floor(b*mu)/b give the same map on Z, so from
+    # integer starts across the periodic hull and just outside it the
+    # decision must take the same steps to the same limit for both; starts
+    # settled on the inline first step count 0 on both sides, so some
+    # starts must have stepped for the counts to say anything
     rng = random.Random(13)
+    stepped = 0
     for _ in range(60):
         n = rng.choice([rng.randint(2, 30), rng.randint(2, 10**4)])
         lam = -Q(n + rng.choice([-1, 1]), n)
@@ -287,7 +298,70 @@ def test_resolve_negative_reads_mu_only_through_the_form(monkeypatch):
         starts = {*range(bottom - 3, bottom + 4), *range(top - 3, top + 4)}
         starts.update(rng.randint(bottom - 3, top + 3) for _ in range(10))
         for z in sorted(starts):
-            assert run(p, z) == run(q, z)
+            got = counted_resolve(p, z)
+            assert got == counted_resolve(q, z)
+            stepped += got[1] > 0
+    assert stepped > 100
+
+
+def test_resolve_negative_steps_only_in_its_loop(counted_resolve):
+    # the first second-iterate step is inline and lam <= -2 is closed-form,
+    # so only -2 < lam < 0 starts the first step leaves open reach the step
+    # closure: 2 calls per loop step, 1 for the final f(z)
+    assert counted_resolve(Params(Q(-99, 100), Q(1, 3)), 10**6) == (OmegaLimit.two_cycle(-33, 33), 1021)
+    for lam in (Q(-5, 2), Q(-1)):
+        for mu in (Q(0), Q(1, 3), Q(-7, 2)):
+            p = Params(lam, mu)
+            for x in (*range(-10, 11), Q(7, 3), 10**30, -(10**30)):
+                assert counted_resolve(p, x)[1] == 0
+
+
+def _resolve_negative_by_loop(p, x):
+    """resolve_negative before its first step was inlined and lam <= -2 got
+    a closed form: one step closure, the periodic hull and the loop for
+    every start; the reference of the differential test below."""
+    z = eval_map(p, x)
+    step = integer_step(p)
+    w = step(step(z))
+    if w != z:
+        bottom, top = periodic_hull(*p.form)
+        while w != z:
+            if (w > z and w > top) or (w < z and w < bottom):
+                return OmegaLimit.plus_minus_inf()
+            z, w = w, step(step(w))
+    fz = step(z)
+    if fz == z:
+        return OmegaLimit.fixed(z)
+    return OmegaLimit.two_cycle(min(z, fz), max(z, fz))
+
+
+def test_resolve_negative_matches_the_loop_it_replaced():
+    rng = random.Random(19)
+    slopes = [Q(-1), Q(-2)]
+    for b in (2, 3, 7, 64):
+        slopes += [-Q(2 * b - 1, b), -Q(2 * b + 1, b)]
+    for n in (2, 3, 10, 100, 1000, 10**4):
+        slopes += [-Q(n - 1, n), -Q(n + 1, n)]
+    while len(slopes) < 50:
+        slopes.append(-Q(rng.randint(1, 4 * 64 - 1), rng.randint(1, 64)))
+    kinds = set()
+    for lam in slopes:
+        for _ in range(2):
+            d = rng.randint(1, 10**4)
+            p = Params(lam, Q(rng.randint(-(10**3) * d, 10**3 * d), d))
+            starts = [Q(rng.randint(-(10**6), 10**6), rng.randint(1, 64)) for _ in range(4)]
+            if lam != -1:
+                bottom, top = periodic_hull(*p.form)
+                starts += [*range(bottom - 3, bottom + 4), *range(top - 3, top + 4)]
+            # a contracting start needs about log|x| / |lam + 1| steps, so
+            # huge starts are left out only just above lam = -1
+            if not -1 < lam < -Q(99, 100):
+                starts += [10**30 + Q(1, 3), -(10**30)]
+            for x in starts:
+                want = _resolve_negative_by_loop(p, x)
+                assert resolve_negative(p, x) == want, (p, x)
+                kinds.add(want.kind)
+    assert kinds == {"fixed", "two_cycle", "plus_minus_inf"}
 
 
 def test_lambda_minus_one_third_iterate_equals_first():
@@ -440,6 +514,40 @@ def test_omega_limit_validation():
         OmegaLimit("plus_inf", z=1)
     with pytest.raises(ValueError):
         OmegaLimit("sideways")
+
+
+def test_fixed_and_two_cycle_answers_are_indistinguishable_from_constructed_ones():
+    for bad in (lambda: OmegaLimit.two_cycle(3, 1), lambda: OmegaLimit.two_cycle(2, 2),
+                lambda: OmegaLimit.fixed(None)):
+        with pytest.raises(ValueError):
+            bad()
+    pairs = [(OmegaLimit.fixed(z), OmegaLimit("fixed", z=z)) for z in (0, -1, 7, 10**30, -(10**40))]
+    pairs += [(OmegaLimit.two_cycle(a, b), OmegaLimit("two_cycle", a=a, b=b))
+              for a, b in ((-1, 1), (0, 5), (-(10**30), 10**30), (-7, -3))]
+    for made, built in pairs:
+        assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+        assert list(vars(made).items()) == list(vars(built).items())
+        assert made.to_json() == built.to_json() and made.is_escape is False
+        for name in ("kind", "z", "a", "b"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(made, name, 1)
+    assert OmegaLimit.fixed(3) != OmegaLimit.two_cycle(2, 3)
+    assert len({OmegaLimit.fixed(3), OmegaLimit("fixed", z=3)}) == 1
+
+
+def test_answers_pass_the_constructor_validation():
+    # dataclasses.replace rebuilds through __init__ and __post_init__
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(400):
+        lam = Q(rng.randint(-96, 96), rng.randint(1, 32))
+        p = Params(lam, Q(rng.randint(-60, 60), rng.randint(1, 12)))
+        x = Q(rng.randint(-500, 500), rng.randint(1, 9))
+        for answer in (omega_limit(p, x), brute_omega(p, x)):
+            if isinstance(answer, OmegaLimit):
+                assert dataclasses.replace(answer) == answer
+                seen.add(answer.kind)
+    assert {"fixed", "two_cycle"} <= seen
 
 
 def test_omega_limit_json_and_escape_flag():

@@ -16,18 +16,23 @@ import math
 import random
 from fractions import Fraction as Q
 
+import quasiaffine.omega as omega_module
 from quasiaffine import (
     CountValue,
     Params,
+    Unresolved,
     Window,
     brute_fixed_points,
+    brute_omega,
     brute_two_cycles,
     count_fixed_points,
     count_two_cycles,
     fixed_points,
+    omega_limit,
     two_cycles,
 )
-from quasiaffine.oracle import periodic_radius
+from quasiaffine.oracle import escape_bound, periodic_radius, step_budget
+from quasiaffine.periodic import periodic_hull
 
 
 def _box():
@@ -63,3 +68,38 @@ def test_closed_forms_match_the_oracle_on_every_small_denominator_map():
         assert _closed_forms(q) == moved, (p, t)
         maps += 1
     assert maps == 4315
+
+
+def test_limit_sets_at_steep_negative_slopes_match_the_oracle(monkeypatch):
+    # every lam = a/b in [-4, -2] with b <= 6 is answered without the
+    # periodic hull, and lam = -(2b - 1)/b, just above -2, still goes
+    # through it; both are compared with iteration from every integer start
+    # within periodic_radius + 3 of p*, and from 10^30, for every residue
+    # m0 with mu = m0/b and one mu off the 1/b grid
+    hull_calls = [0]
+
+    def counted_hull(*form):
+        hull_calls[0] += 1
+        return periodic_hull(*form)
+
+    monkeypatch.setattr(omega_module, "periodic_hull", counted_hull)
+    rng = random.Random(21)
+    kinds, cases = set(), 0
+    for b in range(1, 7):
+        slopes = [a for a in range(-4 * b, -2 * b + 1) if math.gcd(a, b) == 1]
+        for a in slopes + ([1 - 2 * b] if b > 1 else []):
+            lam = Q(a, b)
+            mus = [Q(m0, b) for m0 in range(b - a)] + [Q(rng.randint(-50, 50), b) + Q(3, 7 * b)]
+            hull_calls[0] = 0
+            for mu in mus:
+                p = Params(lam, mu)
+                centre, r = mu / (1 - lam), periodic_radius(p) + 3
+                for x in (*range(math.floor(centre - r), math.ceil(centre + r) + 1), 10**30):
+                    want = brute_omega(p, x, step_budget(p, x), escape_bound(p, x))
+                    got = omega_limit(p, x)
+                    assert got.is_escape if isinstance(want, Unresolved) else got == want, (p, x)
+                    kinds.add(got.kind)
+                    cases += 1
+            assert (hull_calls[0] > 0) == (lam > -2), lam
+    assert kinds == {"fixed", "two_cycle", "plus_minus_inf"}
+    assert cases > 5000
