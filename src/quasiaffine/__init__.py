@@ -11,6 +11,7 @@ from .core import (
     Orbit,
     Params,
     Rational,
+    Window,
     as_rational,
     eval_map,
     format_rational,
@@ -34,7 +35,6 @@ from .oracle import (
     UNRESOLVED,
     OracleVerdict,
     Unresolved,
-    Window,
     brute_fixed_points,
     brute_omega,
     brute_two_cycles,

@@ -19,9 +19,9 @@ import random
 import re
 import sys
 
-from .core import Params, Rational, format_rational, iterate_orbit, parse_rational
+from .core import Params, Rational, Window, format_rational, iterate_orbit, parse_rational
 from .omega import OmegaLimit, classify_case, omega_limit
-from .oracle import Window, cross_check, random_rational
+from .oracle import cross_check, random_rational
 from .periodic import IntegerSet, TwoCycleSet, fixed_points, two_cycles
 from .sweep import SweepSpec, SweepTarget, grid_values, sweep, write_csv, write_jsonl
 

@@ -67,6 +67,21 @@ def integer_form(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
 
 
 @dataclass(frozen=True)
+class Window:
+    """An inclusive integer window [lo, hi]."""
+
+    lo: int
+    hi: int
+
+    def __post_init__(self) -> None:
+        if self.lo > self.hi:
+            raise ValueError("window requires lo <= hi")
+
+    def members(self) -> range:
+        return range(self.lo, self.hi + 1)
+
+
+@dataclass(frozen=True)
 class Params:
     """One map instance f(x) = floor(lam*x + mu); any rational pair is legal.
 

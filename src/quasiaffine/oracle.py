@@ -18,27 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .core import Params, Rational, RationalLike, as_rational
+from .core import Params, Rational, RationalLike, Window, as_rational
 from .omega import OmegaLimit, omega_limit
 from .periodic import fixed_points, two_cycles
 
 DEFAULT_MAX_STEPS = 512
 DEFAULT_ESCAPE_BOUND = 10**9
-
-
-@dataclass(frozen=True)
-class Window:
-    """An inclusive integer window [lo, hi]."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError("window requires lo <= hi")
-
-    def members(self) -> range:
-        return range(self.lo, self.hi + 1)
 
 
 @dataclass(frozen=True)

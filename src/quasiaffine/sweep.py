@@ -11,15 +11,13 @@ byte-identical files. Each cell runs on the map on integers of
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, TextIO
 
-from .core import Rational, as_rational, format_rational, integer_form
-from .oracle import Window
+from .core import Rational, Window, as_rational, format_rational, integer_form
 from .periodic import fixed_run, two_cycle_points
 
 
@@ -117,35 +115,43 @@ def sweep(spec: SweepSpec) -> Iterator[SweepRow]:
                     yield SweepRow(lam, mu, x)
 
 
+_NO_CELL = object()
+
+
+def _write_rows(rows: Iterable[SweepRow], out: TextIO, header: str, cell: str, end: str) -> int:
+    """Write header, then cell.format(lam, mu) + str(x) + end per row, with
+    lam and mu rendered by `format_rational`; returns the row count.
+
+    A cell's text is formatted once per run of rows that share their lam
+    and mu objects, as the rows of one `sweep` cell do; equal but distinct
+    objects only format the same text again. The sentinel start sends a
+    first row's lam, even None, to `format_rational`."""
+    out.write(header)
+    n = 0
+    lam = mu = _NO_CELL
+    for row in rows:
+        if row.lam is not lam or row.mu is not mu:
+            lam, mu = row.lam, row.mu
+            prefix = cell.format(format_rational(lam), format_rational(mu))
+        out.write(f"{prefix}{row.x}{end}")
+        n += 1
+    return n
+
+
 def write_csv(rows: Iterable[SweepRow], out: TextIO) -> int:
     """Write "lambda,mu,x" then one line per row; returns the row count.
 
-    The "lambda,mu," text is formatted once per run of rows with equal
-    (lam, mu), so a cell costs its formatting once plus a write per row.
+    The "lambda,mu," text is formatted once per run of rows that share
+    their lam and mu objects, so a cell costs its formatting once plus a
+    write per row.
     """
-    out.write("lambda,mu,x\n")
-    n = 0
-    cell = None
-    for row in rows:
-        if (row.lam, row.mu) != cell:
-            cell = (row.lam, row.mu)
-            prefix = f"{format_rational(row.lam)},{format_rational(row.mu)},"
-        out.write(f"{prefix}{row.x}\n")
-        n += 1
-    return n
+    return _write_rows(rows, out, "lambda,mu,x\n", "{},{},", "\n")
 
 
 def write_jsonl(rows: Iterable[SweepRow], out: TextIO) -> int:
     """One {"lambda": "p/q", "mu": "p/q", "x": n} object per line; returns
-    the row count. As in `write_csv`, each run of rows with equal (lam, mu)
-    is encoded once, up to the x value."""
-    n = 0
-    cell = None
-    for row in rows:
-        if (row.lam, row.mu) != cell:
-            cell = (row.lam, row.mu)
-            obj = {"lambda": format_rational(row.lam), "mu": format_rational(row.mu), "x": None}
-            prefix = json.dumps(obj, separators=(",", ":"))[: -len("null}")]
-        out.write(f"{prefix}{row.x}}}\n")
-        n += 1
-    return n
+    the row count. As in `write_csv`, a cell is formatted once per run of
+    rows that share their lam and mu objects, up to the x value. The text
+    is a template, not `json.dumps`: `format_rational` emits only
+    -?digits(/digits), which JSON never escapes."""
+    return _write_rows(rows, out, "", '{{"lambda":"{}","mu":"{}","x":', "}\n")

@@ -182,6 +182,30 @@ def test_out_of_range_arguments_are_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, plain",
+    [
+        (["fix", "--lambda", "1", "--mu", "1/2"], "all integers"),
+        (["cycles", "--lambda", "1/2", "--mu", "0"], "none"),
+        (["omega", "--lambda", "-1", "--mu", "1/2", "--x", "5/2"], "2-cycle {-2, 2} [case viii]"),
+    ],
+    ids=["fix-all-integers", "cycles-none", "omega-two-cycle"],
+)
+def test_plain_renderings(capsys, argv, plain):
+    assert run(capsys, "--plain", *argv) == (0, plain + "\n")
+
+
+@pytest.mark.parametrize("window", ["5", "1..x"], ids=["no-separator", "not-an-integer"])
+def test_malformed_window_is_a_usage_error(capsys, window):
+    with pytest.raises(SystemExit) as exc:
+        main(["cycles", "--lambda", "-1", "--mu", "1/2", "--window", window])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"error: argument --window: malformed window {window!r}" in captured.err
+
+
+@pytest.mark.parametrize(
     "out",
     [
         "missing/f.csv",

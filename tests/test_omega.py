@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -514,6 +515,22 @@ def test_omega_limit_validation():
         OmegaLimit("plus_inf", z=1)
     with pytest.raises(ValueError):
         OmegaLimit("sideways")
+
+
+@pytest.mark.parametrize(
+    "kind, fields, message",
+    [
+        ("fixed", {"z": 1, "a": 0}, "fixed limit carries exactly z"),
+        ("two_cycle", {"a": 2, "b": 2}, "two-cycle limit carries a < b"),
+        ("two_cycle", {"a": 3, "b": 2}, "two-cycle limit carries a < b"),
+        ("two_cycle", {"z": 0, "a": 1, "b": 2}, "two-cycle limit carries a < b"),
+        ("two_cycle", {"a": 1}, "two-cycle limit carries a < b"),
+        ("minus_inf", {"b": 4}, "minus_inf carries no payload"),
+    ],
+)
+def test_constructor_rejects_each_malformed_limit(kind, fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        OmegaLimit(kind, **fields)
 
 
 def test_fixed_and_two_cycle_answers_are_indistinguishable_from_constructed_ones():

@@ -400,8 +400,8 @@ def test_one_pass_on_grids_the_two_pass_loop_reran(monkeypatch, lam_range, mu_ra
 
 def test_oracle_never_consults_the_closed_forms():
     # agreement is evidence only while the oracle steps the map on its own:
-    # it reads no Params.form, imports only values and parsing from core, and
-    # names the closed forms only inside cross_check
+    # it reads no Params.form, imports only values, parsing and the Window
+    # type from core, and names the closed forms only inside cross_check
     tree = ast.parse(inspect.getsource(oracle))
     assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "form"]
     imported = {}
@@ -409,7 +409,7 @@ def test_oracle_never_consults_the_closed_forms():
         if isinstance(node, ast.ImportFrom) and node.level:
             imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
         assert not (isinstance(node, ast.Import) and any(a.name.startswith("quasiaffine") for a in node.names))
-    assert imported["core"] <= {"Params", "Rational", "RationalLike", "as_rational"}
+    assert imported["core"] <= {"Params", "Rational", "RationalLike", "Window", "as_rational"}
     assert imported["omega"] <= {"OmegaLimit", "omega_limit"}
     assert imported["periodic"] <= {"fixed_points", "two_cycles"}
     assert set(imported) == {"core", "omega", "periodic"}
@@ -551,3 +551,11 @@ def test_inline_window_scans_match_the_closure_iteration():
         n_max = rng.randint(3, 6)
         got = (brute_fixed_points(p, w), brute_two_cycles(p, w), check_no_long_cycles(p, w, n_max))
         assert got == _closure_windows(p, w, n_max), (p, w, n_max)
+
+
+def test_window_is_one_type_under_every_import():
+    import quasiaffine
+    import quasiaffine.core
+    import quasiaffine.oracle
+
+    assert quasiaffine.Window is quasiaffine.oracle.Window is quasiaffine.core.Window is Window

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -21,6 +22,7 @@ from quasiaffine import (
     fixed_points,
     two_cycles,
 )
+from quasiaffine.periodic import two_cycle_points
 
 
 def random_params(rng: random.Random) -> Params:
@@ -248,3 +250,41 @@ def test_every_fixed_point_is_fixed_and_every_pair_cycles():
         pairs = cyc.pairs if cyc.kind == "finite" else cyc.clip(-50, 50)
         for a, b in pairs:
             assert eval_map(p, a) == b and eval_map(p, b) == a
+
+
+# The validation branches and small answers no other test reaches: each
+# call either raises the given exception (type and message) or returns
+# the given value.
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: CountValue("many"), ValueError("unknown count kind 'many'")),
+        (lambda: 0 in IntegerSet.empty(), False),
+        (lambda: IntegerSet.run(0, 3).clip(2, 1), ValueError("clip window requires lo <= hi")),
+        (lambda: TwoCycleSet("finite", ((1, 3),), 0), ValueError("finite set carries no family offset")),
+        (lambda: TwoCycleSet("cycles"), ValueError("unknown cycle-set kind 'cycles'")),
+        (lambda: TwoCycleSet.finite([(1, 3)]).contains_pair(3, 1), True),
+        (lambda: TwoCycleSet.finite([(1, 3)]).contains_pair(1, 2), False),
+        (lambda: TwoCycleSet.neg_one_family(0).clip(1, -1), ValueError("clip window requires lo <= hi")),
+        (lambda: TwoCycleSet.finite([(1, 3)]).points_in(1, -1), ValueError("window requires lo <= hi")),
+        (lambda: two_cycle_points(-7, 5, 10, 1, -1), ValueError("window requires lo <= hi")),
+    ],
+    ids=[
+        "count-kind",
+        "empty-contains",
+        "integer-clip-window",
+        "finite-with-offset",
+        "cycle-set-kind",
+        "finite-contains-pair",
+        "finite-lacks-pair",
+        "cycle-clip-window",
+        "points-in-window",
+        "two-cycle-points-window",
+    ],
+)
+def test_rare_branches(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            call()
+    else:
+        assert call() is expected

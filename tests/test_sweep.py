@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasiaffine import (
@@ -198,6 +199,82 @@ def test_write_jsonl_contract():
         for r in _CELL_CHANGES
     )
     assert buf.getvalue() == want
+
+
+_huge = st.integers(-(10**40), 10**40)
+_dens = st.integers(1, 10**40)
+# a row's lam or mu as any RationalLike: a Fraction, an int, or "p/q" text
+_field = st.one_of(
+    st.builds(Q, _huge, _dens),
+    _huge,
+    st.builds(lambda n, d: f"{n}/{d}", _huge, _dens),
+)
+
+
+def _equal_copy(v):
+    """An object equal to v, and for Fractions a distinct one."""
+    if isinstance(v, Q):
+        return Q(v.numerator, v.denominator)
+    return int(str(v)) if isinstance(v, int) else v[:1] + v[1:]
+
+
+@settings(SEEDED, max_examples=60)
+@given(
+    lams=st.lists(_field, min_size=1, max_size=3),
+    mus=st.lists(_field, min_size=1, max_size=3),
+    runs=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.booleans(), st.lists(_huge, min_size=1, max_size=4)),
+        max_size=8,
+    ),
+)
+# pinned: a new cell that keeps the last cell's mu object, and one that keeps its lam
+@example(lams=[Q(1, 2), Q(1, 3)], mus=[Q(5)], runs=[(0, 0, False, [1]), (1, 0, False, [2])])
+@example(lams=[Q(1, 2)], mus=[Q(5), Q(7)], runs=[(0, 0, False, [1]), (0, 1, False, [2])])
+def test_writers_match_per_row_formatting(lams, mus, runs):
+    # runs of rows per cell; as in a sweep, cells in a row may share a lam
+    rows = []
+    for i, j, copied, xs in runs:
+        lam, mu = lams[i % len(lams)], mus[j % len(mus)]
+        if copied:
+            lam, mu = _equal_copy(lam), _equal_copy(mu)
+        rows += [SweepRow(lam, mu, x) for x in xs]
+    texts = [(format_rational(r.lam), format_rational(r.mu), r.x) for r in rows]
+    buf = io.StringIO()
+    assert write_csv(rows, buf) == len(rows)
+    assert buf.getvalue() == "lambda,mu,x\n" + "".join(f"{lam},{mu},{x}\n" for lam, mu, x in texts)
+    buf = io.StringIO()
+    assert write_jsonl(rows, buf) == len(rows)
+    assert buf.getvalue() == "".join(
+        json.dumps({"lambda": lam, "mu": mu, "x": x}, separators=(",", ":")) + "\n" for lam, mu, x in texts
+    )
+
+
+@pytest.mark.parametrize("target", list(SweepTarget))
+def test_rows_of_one_cell_share_their_lam_and_mu_objects(target, monkeypatch):
+    # the writers format a cell once per run of rows holding the same
+    # lam and mu objects, so this sharing is what keeps them O(cells)
+    spec = spec_for(Q(-2), Q(1), Q(1, 4), Q(-3), Q(3), Q(1, 2), Window(-12, 12), target)
+    rows = list(sweep(spec))
+    first: dict = {}
+    for row in rows:
+        cell = first.setdefault((row.lam, row.mu), row)
+        assert row.lam is cell.lam and row.mu is cell.mu
+    assert len(rows) > len(first)  # some cells hold several rows
+    calls = []
+    # the package's `sweep` attribute is the function, so reach the module
+    module = importlib.import_module("quasiaffine.sweep")
+    monkeypatch.setattr(module, "format_rational", lambda v: calls.append(v) or format_rational(v))
+    for writer in (write_csv, write_jsonl):
+        calls.clear()
+        writer(rows, io.StringIO())
+        assert len(calls) == 2 * len(first)
+
+
+@pytest.mark.parametrize("mu", [Q(1, 2), None])
+@pytest.mark.parametrize("writer", [write_csv, write_jsonl])
+def test_writers_reject_a_first_row_without_lam(writer, mu):
+    with pytest.raises(TypeError):
+        writer([SweepRow(None, mu, 0)], io.StringIO())
 
 
 def test_identical_specs_give_identical_bytes():
