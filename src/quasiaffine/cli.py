@@ -114,7 +114,7 @@ def _cmd_fix(args: argparse.Namespace) -> int:
 def _cmd_cycles(args: argparse.Namespace) -> int:
     s = two_cycles(Params(args.lam, args.mu))
     if args.window is not None:
-        s = TwoCycleSet.finite(s.clip(args.window.lo, args.window.hi))
+        s = TwoCycleSet("finite", s.clip(args.window.lo, args.window.hi))
     _emit(args, s.to_json(), _plain_cycles(s))
     return 0
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import Params, Rational, RationalLike, eval_map, integer_step
-from .periodic import fixed_points, fixed_run, periodic_hull
+from .periodic import fixed_run, periodic_hull
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,16 @@ def interval_index(p: Params, x: RationalLike) -> int:
 
 def classify_case(p: Params) -> CaseTag:
     """The unique regime tag for (lam, mu), by exact threshold comparisons
-    of scale against 0 and +-den on ``p.form`` (lam = scale/den)."""
-    scale, _, den = p.form
-    has_fix = fixed_points(p).kind != "empty"
-    if scale > den:
-        return CaseTag.I if has_fix else CaseTag.II
+    of scale against 0 and +-den on ``p.form`` (lam = scale/den). A fixed
+    point exists when the run of :func:`fixed_run` is not inverted; the run
+    is None only at lam = 1, which is case iii whatever the run."""
+    scale, offset, den = p.form
     if scale == den:
         return CaseTag.III
+    lo, hi = fixed_run(scale, offset, den)
+    has_fix = lo <= hi
+    if scale > den:
+        return CaseTag.I if has_fix else CaseTag.II
     if scale > 0:
         return CaseTag.IV
     if scale == 0:

@@ -146,6 +146,9 @@ class TwoCycleSet:
 
     @classmethod
     def finite(cls, pairs: Iterable[tuple[int, int]]) -> TwoCycleSet:
+        """Canonicalise pairs given in any order and orientation, dropping
+        repeats. The library's own pair lists are built canonical and go to
+        the validating constructor directly."""
         canon = set()
         for a, b in pairs:
             if a == b:
@@ -175,12 +178,8 @@ class TwoCycleSet:
             raise ValueError("clip window requires lo <= hi")
         if self.kind == "finite":
             return tuple((a, b) for a, b in self.pairs if lo <= a and b <= hi)
-        out = []
-        for a in range(lo, hi + 1):
-            b = self.c - a
-            if a < b <= hi:
-                out.append((a, b))
-        return tuple(out)
+        # (a, c - a) with lo <= a and a < c - a <= hi, i.e. c - hi <= a < c/2
+        return tuple((a, self.c - a) for a in range(max(lo, self.c - hi), (self.c + 1) // 2))
 
     def points_in(self, lo: int, hi: int) -> list[int]:
         """Period-2 points inside [lo, hi] (pair partners may fall outside)."""
@@ -255,6 +254,13 @@ def _two_cycle_pairs(scale: int, offset: int, den: int) -> Iterator[tuple[int, i
     numbers differ by (den - |den + scale|*k)/(den - scale), which lies in
     (0, 1) for 1 <= k <= k_hi, so the right end is the only candidate and
     the gap holds a pair exactly when it exceeds the left floor.
+
+    The ends move monotonically with k. As k grows, far*k - offset grows
+    and s < 0, so the candidate x never rises; and x + k =
+    ((far + s)*k - offset) // s with far + s = max(scale, -den) < 0, so
+    x + k never falls. Among the pairs themselves both moves are strict,
+    since f(x) has one value: the lower ends strictly fall and the upper
+    ends strictly rise, and every lower end lies below every upper end.
     """
     s, near, far = scale - den, min(den, -scale), max(den, -scale)
     for k in range(1, (den - 1) // abs(scale + den) + 1):
@@ -268,9 +274,9 @@ def periodic_hull(scale: int, offset: int, den: int) -> tuple[int, int]:
     f(z) = (scale*z + offset) // den for lam < 0, lam != -1: the candidate
     pair x, x + k_hi of the widest gap in :func:`_two_cycle_pairs`.
 
-    Every pair sits at a gap k <= k_hi (:func:`_two_cycle_pairs`); as k
-    grows its lower candidate end never rises and its upper end never falls
-    (:func:`two_cycle_points`); and the fixed point, when one exists, is the
+    Every pair sits at a gap k <= k_hi, and as k grows the lower candidate
+    end never rises and the upper end never falls (both in
+    :func:`_two_cycle_pairs`); the fixed point, when one exists, is the
     k = 0 candidate offset // (den - scale).
     """
     s, far = scale - den, max(den, -scale)
@@ -284,12 +290,17 @@ def two_cycles(p: Params) -> TwoCycleSet:
 
     lam = -1 gives the symbolic family {x, floor(mu) - x} over x in Z,
     because f(x) = floor(mu) - x there; every other slope gives the pairs
-    of :func:`_two_cycle_pairs` (none for lam <= -2 or lam >= 0).
+    of :func:`_two_cycle_pairs` (none for lam <= -2 or lam >= 0). Their
+    lower ends strictly fall along the walk, so the reversed list is
+    already canonical and goes straight to the validating constructor, in
+    O(k_hi) with no sort.
     """
     scale, offset, den = p.form
     if scale == -den:
         return TwoCycleSet.neg_one_family(offset // den)
-    return TwoCycleSet.finite(_two_cycle_pairs(scale, offset, den))
+    pairs = list(_two_cycle_pairs(scale, offset, den))
+    pairs.reverse()
+    return TwoCycleSet("finite", tuple(pairs))
 
 
 def two_cycle_points(scale: int, offset: int, den: int, lo: int, hi: int) -> list[int]:
@@ -298,16 +309,11 @@ def two_cycle_points(scale: int, offset: int, den: int, lo: int, hi: int) -> lis
     and without walking the gaps whose pairs cannot reach the window.
 
     The pairs of :func:`_two_cycle_pairs` arrive as (x, x + k) in increasing
-    k with x = (far*k - offset) // s, where s = scale - den < 0 because
-    pairs exist only for -2 < lam < 0. As k grows, far*k - offset grows,
-    so x never increases; and x + k = ((far + s)*k - offset) // s with
-    far + s = max(scale, -den) < 0, so x + k never decreases. Hence once a
-    pair has x < lo and x + k > hi, every later pair lies outside [lo, hi]
-    at both ends, and the walk stops there. The same monotony orders the
-    members: every lower end is at most the first pair's x, which is below
-    its x + k, which is at most every upper end; so the lower ends
-    reversed, then the upper ends, are ascending. lam = -1 is the family
-    of :meth:`TwoCycleSet.neg_one_family`.
+    k, with x falling and x + k rising along the walk (shown there). Hence
+    once a pair has x < lo and x + k > hi, every later pair lies outside
+    [lo, hi] at both ends, and the walk stops there. The same monotony
+    orders the members: the lower ends reversed, then the upper ends, are
+    ascending. lam = -1 is the family of :meth:`TwoCycleSet.neg_one_family`.
     """
     if lo > hi:
         raise ValueError("window requires lo <= hi")

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import quasiaffine.cli as cli
-from quasiaffine import OracleVerdict, Params, classify_case, fixed_points, omega_limit
+from quasiaffine import OracleVerdict, Params, TwoCycleSet, classify_case, fixed_points, omega_limit, two_cycles
 from quasiaffine.cli import main
 
 
@@ -49,6 +49,30 @@ def test_cycles_clipped_family(capsys):
     code, out = run(capsys, "cycles", "--lambda", "-1", "--mu", "1/2", "--window", "-2..2")
     assert code == 0
     assert json.loads(out) == {"kind": "finite", "pairs": [[-2, 2], [-1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "lam, mu, windows",
+    [
+        ("-1", "1/2", ["-2..2", "-5..7", "3..9", "-9..-3", "0..0", "-1000..1000"]),
+        ("-1", "7/3", ["-2..2", "1..1", "1..2", "2..9", "-30..40"]),
+        ("-99/100", "1/3", ["-40..40", "-20..20", "-33..33", "0..0", "5..5", "-200..200", "100..200"]),
+    ],
+    ids=["family-c0", "family-c2", "finite"],
+)
+def test_cycles_window_prints_the_canonicalised_clip(capsys, lam, mu, windows):
+    # the clip goes straight to the validating constructor; the reference
+    # puts it through the canonicaliser first, as the command once did
+    s = two_cycles(Params(Q(lam), Q(mu)))
+    empty = 0
+    for window in windows:
+        lo, hi = map(int, window.split(".."))
+        ref = TwoCycleSet.finite(s.clip(lo, hi))
+        plain = " ".join(f"{{{a}, {b}}}" for a, b in ref.pairs) or "none"
+        assert run(capsys, "cycles", "--lambda", lam, "--mu", mu, "--window", window) == (0, json.dumps(ref.to_json(), separators=(",", ":")) + "\n")
+        assert run(capsys, "--plain", "cycles", "--lambda", lam, "--mu", mu, "--window", window) == (0, plain + "\n")
+        empty += not ref.pairs
+    assert 0 < empty < len(windows)
 
 
 def test_classify(capsys):

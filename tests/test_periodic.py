@@ -221,6 +221,37 @@ def test_neg_one_family_membership_excludes_degenerate_point():
     assert fam5.points_in(0, 5) == [0, 1, 2, 3, 4, 5]  # 2x = 5 has no integer solution
 
 
+def _family_clip_by_points(c, lo, hi):
+    """The lam = -1 family clipped by testing every window point, as the
+    library once did."""
+    out = []
+    for a in range(lo, hi + 1):
+        b = c - a
+        if a < b <= hi:
+            out.append((a, b))
+    return tuple(out)
+
+
+def test_family_clip_is_one_range_matching_the_per_point_loop():
+    # c even and odd; windows wholly below, straddling and wholly above c/2,
+    # single points, and windows whose mirror c - hi lies below lo
+    seen = set()
+    for c in range(-9, 10):
+        fam = TwoCycleSet.neg_one_family(c)
+        for lo in range(c // 2 - 12, c // 2 + 12):
+            for hi in range(lo, lo + 26):
+                got = fam.clip(lo, hi)
+                assert got == _family_clip_by_points(c, lo, hi), (c, lo, hi)
+                assert TwoCycleSet("finite", got).pairs == got
+                seen.add("odd" if c % 2 else "even")
+                seen.add("below" if 2 * hi < c else "above" if 2 * lo > c else "straddle")
+                if lo == hi:
+                    seen.add("single")
+                if c - hi < lo and got:
+                    seen.add("mirror below lo")
+    assert seen == {"odd", "even", "below", "above", "straddle", "single", "mirror below lo"}
+
+
 def test_two_cycle_set_points_in_keeps_half_pairs():
     s = TwoCycleSet.finite([(-8, 2), (0, 1)])
     assert s.points_in(-1, 3) == [0, 1, 2]

@@ -1,4 +1,5 @@
-"""Every map with a small slope denominator: closed forms against the oracle.
+"""Every map with a small slope denominator: closed forms and limit sets
+against the oracle.
 
 On Z, f(z) = floor(lam*z + mu) with lam = a/b depends on mu only through
 m = floor(b*mu), and adding (1 - lam)*t to mu (m -> m + (b - a)*t)
@@ -18,13 +19,16 @@ from fractions import Fraction as Q
 
 import quasiaffine.omega as omega_module
 from quasiaffine import (
+    CaseTag,
     CountValue,
+    OmegaLimit,
     Params,
     Unresolved,
     Window,
     brute_fixed_points,
     brute_omega,
     brute_two_cycles,
+    classify_case,
     count_fixed_points,
     count_two_cycles,
     fixed_points,
@@ -103,3 +107,71 @@ def test_limit_sets_at_steep_negative_slopes_match_the_oracle(monkeypatch):
             assert (hull_calls[0] > 0) == (lam > -2), lam
     assert kinds == {"fixed", "two_cycle", "plus_minus_inf"}
     assert cases > 5000
+
+
+def _moved(limit, t):
+    """A limit set shifted by t: fixed points and 2-cycles move, escapes stay."""
+    if limit.kind == "fixed":
+        return OmegaLimit.fixed(limit.z + t)
+    if limit.kind == "two_cycle":
+        return OmegaLimit.two_cycle(limit.a + t, limit.b + t)
+    return limit
+
+
+def test_limit_sets_between_minus_two_and_zero_match_the_oracle():
+    # every lam = a/b in (-2, 0) with b <= 12 and lam != -1, every residue m0
+    # with mu = m0/b and one mu off the 1/b grid per slope; every integer
+    # start within periodic_radius + 3 of p*, and 10^30 + 1/3 and -10^30,
+    # against iteration to the derived budget and bound; each map is also
+    # moved by one t (random or 10^100 in turn), and every answer must move
+    # with it from x + t
+    rng = random.Random(12)
+    kinds, maps, starts = set(), 0, 0
+    for b in range(1, 13):
+        for a in range(1 - 2 * b, 0):
+            if math.gcd(a, b) != 1 or a == -b:
+                continue
+            lam = Q(a, b)
+            for mu in [Q(m0, b) for m0 in range(b - a)] + [Q(rng.randint(-50, 50), b) + Q(3, 7 * b)]:
+                p = Params(lam, mu)
+                t = 10**100 if maps % 2 else rng.randint(-(10**6), 10**6)
+                q = Params(lam, mu + (1 - lam) * t)
+                centre, r = mu / (1 - lam), periodic_radius(p) + 3
+                for x in (*range(math.floor(centre - r), math.ceil(centre + r) + 1), 10**30 + Q(1, 3), -(10**30)):
+                    got = omega_limit(p, x)
+                    assert brute_omega(p, x, step_budget(p, x), escape_bound(p, x)) == got, (p, x)
+                    assert omega_limit(q, x + t) == _moved(got, t), (p, x, t)
+                    kinds.add(got.kind)
+                    starts += 1
+                maps += 1
+    assert kinds == {"fixed", "two_cycle", "plus_minus_inf"}
+    assert maps == 1586 and starts > 29000
+
+
+def _case_by_fixed_set(p):
+    """The regime tag from lam's thresholds and whether the fixed-point set
+    is empty, as classify_case once read it."""
+    has_fix = fixed_points(p).kind != "empty"
+    if p.lam > 1:
+        return CaseTag.I if has_fix else CaseTag.II
+    if p.lam == 1:
+        return CaseTag.III
+    if p.lam > 0:
+        return CaseTag.IV
+    if p.lam == 0:
+        return CaseTag.V
+    if p.lam > -1:
+        return CaseTag.VI if has_fix else CaseTag.VII
+    return CaseTag.VIII if has_fix else CaseTag.IX
+
+
+def test_classify_case_matches_the_fixed_set_reference():
+    # the box stops at |lam| = 2, where a fixed point always exists for
+    # lam > 1, so lam = 5/2 is added to reach case ii
+    thresholds = [Params(Q(lam), Q(mu, 4)) for lam in (1, -1, 2, -2, Q(5, 2), Q(-5, 2)) for mu in range(-9, 10)]
+    tags = set()
+    for p in (*_box(), *thresholds):
+        tag = classify_case(p)
+        assert tag == _case_by_fixed_set(p), p
+        tags.add(tag)
+    assert tags == set(CaseTag)
