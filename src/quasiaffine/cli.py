@@ -18,10 +18,11 @@ import os
 import random
 import re
 import sys
+from typing import Callable
 
 from .core import Params, Rational, Window, format_rational, iterate_orbit, parse_rational
 from .omega import OmegaLimit, classify_case, omega_limit
-from .oracle import cross_check, random_rational
+from .oracle import OracleVerdict, cross_check, random_rational
 from .periodic import IntegerSet, TwoCycleSet, fixed_points, two_cycles
 from .sweep import SweepSpec, SweepTarget, grid_values, sweep, write_csv, write_jsonl
 
@@ -48,10 +49,18 @@ def _positive_rational(text: str) -> Rational:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    if not re.fullmatch(r"\+?\d+", text.strip()):
-        raise argparse.ArgumentTypeError(f"count {text!r} must be an integer >= 0")
+def _integer(text: str) -> int:
+    # the one grammar of every integer flag: ASCII digits after an optional sign
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"malformed integer {text!r}")
     return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"count {text!r} must be >= 0")
+    return value
 
 
 def _rational_range(text: str) -> tuple[Rational, Rational]:
@@ -69,16 +78,16 @@ def _window(text: str) -> Window:
     if not sep:
         raise argparse.ArgumentTypeError(f"malformed window {text!r} (expected 'LO..HI')")
     try:
-        return Window(int(lo), int(hi))
-    except ValueError as exc:
+        return Window(_integer(lo), _integer(hi))
+    except (argparse.ArgumentTypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"malformed window {text!r}: {exc}") from None
 
 
-def _emit(args: argparse.Namespace, payload: dict, plain: str) -> None:
-    if args.plain:
-        print(plain)
-    else:
-        print(json.dumps(payload, separators=(",", ":")))
+def _emit(args: argparse.Namespace, payload: Callable[[], dict], plain: Callable[[], str], status: int = 0) -> int:
+    """Print the answer in the requested format, rendering only that one,
+    and return the exit status."""
+    print(plain() if args.plain else json.dumps(payload(), separators=(",", ":")))
+    return status
 
 
 def _plain_integer_set(s: IntegerSet) -> str:
@@ -92,9 +101,7 @@ def _plain_integer_set(s: IntegerSet) -> str:
 def _plain_cycles(s: TwoCycleSet) -> str:
     if s.kind == "neg_one_family":
         return f"all pairs {{x, {s.c} - x}} over the integers (x != {s.c} - x)"
-    if not s.pairs:
-        return "none"
-    return " ".join(f"{{{a}, {b}}}" for a, b in s.pairs)
+    return " ".join(f"{{{a}, {b}}}" for a, b in s.pairs) or "none"
 
 
 def _plain_omega(o: OmegaLimit) -> str:
@@ -107,43 +114,34 @@ def _plain_omega(o: OmegaLimit) -> str:
 
 def _cmd_fix(args: argparse.Namespace) -> int:
     s = fixed_points(Params(args.lam, args.mu))
-    _emit(args, s.to_json(), _plain_integer_set(s))
-    return 0
+    return _emit(args, s.to_json, lambda: _plain_integer_set(s))
 
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
     s = two_cycles(Params(args.lam, args.mu))
     if args.window is not None:
         s = TwoCycleSet("finite", s.clip(args.window.lo, args.window.hi))
-    _emit(args, s.to_json(), _plain_cycles(s))
-    return 0
+    return _emit(args, s.to_json, lambda: _plain_cycles(s))
 
 
 def _cmd_omega(args: argparse.Namespace) -> int:
     p = Params(args.lam, args.mu)
     limit = omega_limit(p, args.x)
     tag = classify_case(p)
-    payload = limit.to_json()
-    payload["case"] = tag.value
-    _emit(args, payload, f"{_plain_omega(limit)} [case {tag.value}]")
-    return 0
+    return _emit(args, lambda: {**limit.to_json(), "case": tag.value},
+                 lambda: f"{_plain_omega(limit)} [case {tag.value}]")
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
     orbit = iterate_orbit(Params(args.lam, args.mu), args.x, args.steps)
-    payload = {
-        "start": format_rational(orbit.start),
-        "tail": list(orbit.tail),
-        "truncated": True,  # the tail is always a prefix of the infinite orbit
-    }
-    _emit(args, payload, "\n".join(str(z) for z in orbit.tail))
-    return 0
+    # "truncated": the tail is always a prefix of the infinite orbit
+    return _emit(args, lambda: {"start": format_rational(orbit.start), "tail": orbit.tail, "truncated": True},
+                 lambda: "\n".join(map(str, orbit.tail)))
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     tag = classify_case(Params(args.lam, args.mu))
-    _emit(args, tag.to_json(), tag.value)
-    return 0
+    return _emit(args, tag.to_json, lambda: tag.value)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -179,17 +177,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             samples = [random_rational(rng, w.lo, w.hi) for _ in range(args.samples)]
             verdict = cross_check(Params(lam, mu), w, samples)
             if not verdict.agrees:
-                _emit(args, verdict.to_json(), f"disagree: {verdict.detail}")
-                return 1
+                return _emit(args, verdict.to_json, lambda: f"disagree: {verdict.detail}", status=1)
             checked += 1
-    summary = {"agrees": True, "detail": ""}
-    _emit(args, summary, f"agree ({checked} parameter pairs)")
-    return 0
+    return _emit(args, OracleVerdict(True, "").to_json, lambda: f"agree ({checked} parameter pairs)")
 
 
 # stock argparse only lets plain negative numbers through as option values;
 # widen the matcher so "-13/10" and "-2..2" parse (all our flags are words)
-_LEADING_MINUS_VALUE = re.compile(r"^-\d")
+_LEADING_MINUS_VALUE = re.compile(r"^-[0-9]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid_flags(sp)
     sp.add_argument("--window", type=_window, required=True, metavar="LO..HI")
     sp.add_argument("--samples", type=_non_negative_int, default=5, help="random start points per grid cell")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_integer, default=0)
     sp.set_defaults(handler=_cmd_verify)
 
     return parser

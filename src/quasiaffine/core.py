@@ -21,14 +21,16 @@ Rational = Fraction
 
 RationalLike = Union[Rational, int, str]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Rational:
     """Parse "p/q" text: optional sign on p, "/q" omitted for integers.
 
-    Rejects q = 0 and anything outside the grammar (in particular decimal
-    notation, which would smuggle in a binary approximation).
+    Digits are ASCII 0-9. Rejects q = 0 and anything outside the grammar:
+    in particular decimal notation, which would smuggle in a binary
+    approximation, and the non-ASCII digits and "_" separators that int()
+    would read.
     """
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):
@@ -74,6 +76,8 @@ class Window:
     hi: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
+            raise TypeError(f"window bounds must be ints, got {self.lo!r}..{self.hi!r}")
         if self.lo > self.hi:
             raise ValueError("window requires lo <= hi")
 

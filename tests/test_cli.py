@@ -8,11 +8,25 @@ import subprocess
 import sys
 from fractions import Fraction as Q
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import quasiaffine.cli as cli
-from quasiaffine import OracleVerdict, Params, TwoCycleSet, classify_case, fixed_points, omega_limit, two_cycles
+from quasiaffine import (
+    CaseTag,
+    IntegerSet,
+    OmegaLimit,
+    Orbit,
+    OracleVerdict,
+    Params,
+    TwoCycleSet,
+    Window,
+    classify_case,
+    fixed_points,
+    omega_limit,
+    two_cycles,
+)
 from quasiaffine.cli import main
 
 
@@ -218,6 +232,60 @@ def test_plain_renderings(capsys, argv, plain):
     assert run(capsys, "--plain", *argv) == (0, plain + "\n")
 
 
+_MAP = ["--lambda", "-1", "--mu", "1/2"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, message",
+    [
+        (["fix", "--lambda", "\u0663/\u0662", "--mu", "0"], "--lambda", "malformed rational"),
+        (["fix", "--lambda", "1_0", "--mu", "0"], "--lambda", "malformed rational"),
+        (["omega", *_MAP, "--x", "\uff11"], "--x", "malformed rational"),
+        # only "-" before an ASCII digit starts a negative value; argparse
+        # takes anything else that starts with "-" for an option
+        (["cycles", *_MAP, "--window", "-\u0661..\u0661"], "--window", "expected one argument"),
+        (["cycles", *_MAP, "--window", "\u0661..2"], "--window", "malformed window"),
+        (["cycles", *_MAP, "--window", "-1_0..1_0"], "--window", "malformed window"),
+        (["orbit", *_MAP, "--x", "1", "--steps", "\u0661"], "--steps", "malformed integer"),
+        (["orbit", *_MAP, "--x", "1", "--steps", "1_0"], "--steps", "malformed integer"),
+        (_VERIFY + ["--lambda-range", "0..0", "--lambda-step", "1", "--seed", "\u0663"], "--seed", "malformed integer"),
+        (_VERIFY + ["--lambda-range", "0..0", "--lambda-step", "1", "--seed", "1_0"], "--seed", "malformed integer"),
+        (_VERIFY + ["--lambda-range", "0..0", "--lambda-step", "1", "--samples", "\u0663"], "--samples",
+         "malformed integer"),
+        (["scan", "--target", "fix", "--lambda-range", "0..0", "--lambda-step", "1",
+          "--mu-range", "0..0", "--mu-step", "1", "--x-window", "0..1_0"], "--x-window", "malformed window"),
+    ],
+    ids=["lambda-arabic-indic", "lambda-underscore", "x-fullwidth", "window-arabic-indic-negative",
+         "window-arabic-indic", "window-underscore", "steps-arabic-indic", "steps-underscore",
+         "seed-arabic-indic", "seed-underscore", "samples-arabic-indic", "x-window-underscore"],
+)
+def test_numbers_outside_the_ascii_grammar_are_usage_errors(capsys, argv, flag, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    # argparse prints its usage text first, then this one error line
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"error: argument {flag}: {message}" in errors[0], captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, dest, value",
+    [
+        (["orbit", *_MAP, "--x", "0", "--steps", " +3 "], "steps", 3),
+        (["orbit", *_MAP, "--x", "0", "--steps", "007"], "steps", 7),
+        (["cycles", *_MAP, "--window", " -2 .. +2 "], "window", Window(-2, 2)),
+        (_VERIFY + ["--lambda-range", "0..0", "--lambda-step", "1", "--seed", "-5"], "seed", -5),
+        (_VERIFY + ["--lambda-range", "0..0", "--lambda-step", "1", "--samples", "+0"], "samples", 0),
+    ],
+    ids=["steps-signed-spaced", "steps-leading-zeros", "window-spaced", "seed-negative", "samples-signed-zero"],
+)
+def test_ascii_integers_keep_their_values(argv, dest, value):
+    assert getattr(cli._parser().parse_args(argv), dest) == value
+
+
 @pytest.mark.parametrize("window", ["5", "1..x"], ids=["no-separator", "not-an-integer"])
 def test_malformed_window_is_a_usage_error(capsys, window):
     with pytest.raises(SystemExit) as exc:
@@ -317,6 +385,67 @@ def _outcome(capsys, argv: list[str]) -> tuple[object, str, str]:
         status = exc.code
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("rendered the format that is not printed")
+
+
+class _Unprintable(int):
+    """An int that json.dumps writes as usual but that refuses str()."""
+
+    def __str__(self):
+        _refuse()
+
+
+def _unprintable_tail(iterate_orbit):
+    def wrapped(*args):
+        orbit = iterate_orbit(*args)
+        return Orbit(orbit.start, tuple(map(_Unprintable, orbit.tail)))
+    return wrapped
+
+
+_SMALL_VERIFY = ["verify", "--lambda-range", "0..1", "--lambda-step", "1/2", "--mu-range", "-1/2..0",
+                 "--mu-step", "1/2", "--window", "-5..5", "--samples", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, status, as_json, as_plain",
+    [
+        (["fix", "--lambda", "3/2", "--mu", "13/10"], 0, '{"kind":"range","lo":-2,"hi":-1}', "{-2..-1}"),
+        (["fix", "--lambda", "1", "--mu", "1/2"], 0, '{"kind":"all_integers"}', "all integers"),
+        (["fix", "--lambda", "1", "--mu", "2"], 0, '{"kind":"empty"}', "empty"),
+        (["cycles", *_MAP], 0, '{"kind":"neg_one_family","c":0}',
+         "all pairs {x, 0 - x} over the integers (x != 0 - x)"),
+        (["cycles", *_MAP, "--window", "-2..2"], 0, '{"kind":"finite","pairs":[[-2,2],[-1,1]]}', "{-2, 2} {-1, 1}"),
+        (["cycles", "--lambda", "-99/100", "--mu", "1/3", "--window", "5..5"], 0, '{"kind":"finite","pairs":[]}', "none"),
+        (["omega", *_MAP, "--x", "5/2"], 0, '{"kind":"two_cycle","a":-2,"b":2,"case":"viii"}',
+         "2-cycle {-2, 2} [case viii]"),
+        (["omega", "--lambda", "3/2", "--mu", "0", "--x", "7"], 0, '{"kind":"plus_inf","case":"i"}',
+         "+infinity [case i]"),
+        (["orbit", "--lambda", "3/2", "--mu", "13/10", "--x", "-1/2", "--steps", "4"], 0,
+         '{"start":"-1/2","tail":[0,1,2,4],"truncated":true}', "0\n1\n2\n4"),
+        (["classify", "--lambda", "-7/10", "--mu", "-1/2"], 0, '{"case":"vii"}', "vii"),
+        (_SMALL_VERIFY, 0, '{"agrees":true,"detail":""}', "agree (6 parameter pairs)"),
+        (_SMALL_VERIFY + ["--samples", "0"], 1, '{"agrees":false,"detail":"forced"}', "disagree: forced"),
+    ],
+    ids=["fix-range", "fix-all-integers", "fix-empty", "cycles-family", "cycles-window", "cycles-none",
+         "omega-two-cycle", "omega-escape", "orbit", "classify", "verify-agree", "verify-disagree"],
+)
+def test_each_command_renders_only_the_format_it_prints(capsys, monkeypatch, argv, status, as_json, as_plain):
+    if status == 1:  # the disagreement is forced
+        monkeypatch.setattr(cli, "cross_check", lambda *a, **kw: OracleVerdict(False, "forced"))
+    with monkeypatch.context() as m:
+        for name in ("_plain_integer_set", "_plain_cycles", "_plain_omega"):
+            m.setattr(cli, name, _refuse)
+        m.setattr(cli, "iterate_orbit", _unprintable_tail(cli.iterate_orbit))
+        assert run(capsys, *argv) == (status, as_json + "\n")
+    with monkeypatch.context() as m:
+        for value_class in (IntegerSet, TwoCycleSet, OmegaLimit, CaseTag, OracleVerdict):
+            m.setattr(value_class, "to_json", _refuse)
+        m.setattr(cli, "format_rational", _refuse)
+        m.setattr(cli, "json", SimpleNamespace(dumps=_refuse))
+        assert run(capsys, "--plain", *argv) == (status, as_plain + "\n")
 
 
 def test_reused_parser_is_order_independent(capsys):

@@ -10,6 +10,7 @@ import pytest
 
 from quasiaffine import (
     Params,
+    Window,
     as_rational,
     eval_map,
     format_rational,
@@ -84,10 +85,23 @@ def test_parse_rational(text, expected):
     assert parse_rational(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "1/0", "1.5", "a/b", "1/-2", "3/", "/2", "1 /2"])
+@pytest.mark.parametrize(
+    "text",
+    # the last six are non-ASCII digits and "_" separators, which int() reads
+    ["", "1/0", "1.5", "a/b", "1/-2", "3/", "/2", "1 /2", "\u0663", "\u0663/\u0662", "1/\u0662", "\uff11", "1_0", "1/1_0"],
+)
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, error",
+    [(0.5, 3, TypeError), (Q(1, 2), 3, TypeError), ("10", "9", TypeError), (0, 3.0, TypeError), (1, 0, ValueError)],
+)
+def test_window_refuses_bounds_that_are_not_ascending_ints(lo, hi, error):
+    with pytest.raises(error):
+        Window(lo, hi)
 
 
 def test_format_rational():
