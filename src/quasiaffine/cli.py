@@ -276,3 +276,7 @@ def entrypoint() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = _EXIT_BROKEN_PIPE
     raise SystemExit(status)
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -249,9 +249,9 @@ def resolve_negative(p: Params, x: RationalLike) -> OmegaLimit:
 
     lam <= -2 (scale + 2*den <= 0) with w != z is {-inf, +inf} in closed form:
 
-      - |lam + 1| >= 1 leaves no gap k >= 1 in :func:`_two_cycle_pairs`
-        (k_hi = 0), so there is no 2-cycle and the fixed point q, if any,
-        is the only periodic point;
+      - |lam + 1| >= 1 leaves no gap k >= 1 (k_hi = 0 in
+        :func:`periodic._gaps`), so there is no 2-cycle and the fixed
+        point q, if any, is the only periodic point;
       - the integers y with f(y) = q lie in a half-open interval of width
         1/|lam| <= 1/2 that contains q, so q is its own only integer
         preimage, and an orbit from z != q never reaches it;

@@ -237,51 +237,74 @@ def count_fixed_points(p: Params) -> CountValue:
     return fixed_points(p).size()
 
 
+def _gaps(scale: int, den: int) -> tuple[int, int, int, int]:
+    """The gap terms (k_hi, S, near, far) of f(z) = (scale*z + offset) // den
+    for lam != -1, where S = den - scale and near, far = min(den, -scale),
+    max(den, -scale); they do not depend on offset.
+
+    A 2-cycle (x, x + k), k >= 1, has f(x) = x + k and f(x + k) = x, that is
+    0 <= offset - S*x - den*k < den and 0 <= offset - S*x + scale*k < den.
+    The two bands of S*x overlap only when |scale + den|*k < den, i.e.
+    |lam + 1|*k < 1, so the gap is bounded by k_hi = (den - 1) // |scale + den|
+    and k_hi = 0 when lam >= 0 or lam <= -2. For lam < 0 one has S > 0, and
+    the overlap leaves
+
+        (offset - den - near*k) // S < x <= (offset - far*k) // S.
+
+    The two floored numbers differ by (den - |den + scale|*k)/S, which lies
+    in (0, 1) for 1 <= k <= k_hi, so the right end is the only candidate and
+    gap k holds a pair exactly when the two floors differ, by 1.
+    """
+    near, far = (den, -scale) if den < -scale else (-scale, den)
+    return (den - 1) // abs(scale + den), den - scale, near, far
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of (a*i + b) // m over 0 <= i < n, for n >= 0 and, when n > 0,
+    m > 0, in O(log m) rounds (the Euclid-like reduction of AtCoder Library's
+    ``floor_sum`` in ``math.hpp``). Python's floor division and non-negative
+    remainder take any sign of a and b into the first round; each round
+    then counts the lattice points under the line with the roles of a and m
+    exchanged, and ends when no point is left (n = 0)."""
+    total = 0
+    while n:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        (n, b), m, a = divmod(a * n + b, m), a, m
+    return total
+
+
 def _two_cycle_pairs(scale: int, offset: int, den: int) -> Iterator[tuple[int, int]]:
     """Yield the 2-cycles (x, x + k) of f(z) = (scale*z + offset) // den,
-    at most one per gap k, in increasing k; lam = -1 is excluded.
+    at most one per gap k, in increasing k; lam = -1 is excluded. Each gap
+    tests its candidate end against its lower bound, both from :func:`_gaps`.
 
-    f(x) = x + k and f(x + k) = x say 0 <= s*x + offset - den*k < den and
-    0 <= s*x + offset + scale*k < den (s = scale - den). Subtracting them
-    gives |scale + den|*k < den, i.e. |lam + 1|*k < 1, so the gap is
-    bounded by k_hi = (den - 1) // |scale + den| and no k exists when
-    lam >= 0 or lam <= -2. For lam < 0 one has s < 0, and intersecting the
-    two bands of s*x leaves
-
-        (den + near*k - offset) // s < x <= (far*k - offset) // s
-
-    with near, far = min(den, -scale), max(den, -scale). The two floored
-    numbers differ by (den - |den + scale|*k)/(den - scale), which lies in
-    (0, 1) for 1 <= k <= k_hi, so the right end is the only candidate and
-    the gap holds a pair exactly when it exceeds the left floor.
-
-    The ends move monotonically with k. As k grows, far*k - offset grows
-    and s < 0, so the candidate x never rises; and x + k =
-    ((far + s)*k - offset) // s with far + s = max(scale, -den) < 0, so
+    The ends move monotonically with k. As k grows, offset - far*k falls
+    and S > 0, so the candidate x never rises; and x + k =
+    (offset - (far - S)*k) // S with far - S = max(scale, -den) < 0, so
     x + k never falls. Among the pairs themselves both moves are strict,
     since f(x) has one value: the lower ends strictly fall and the upper
     ends strictly rise, and every lower end lies below every upper end.
     """
-    s, near, far = scale - den, min(den, -scale), max(den, -scale)
-    for k in range(1, (den - 1) // abs(scale + den) + 1):
-        x = (far * k - offset) // s
-        if x > (den + near * k - offset) // s:
+    k_hi, S, near, far = _gaps(scale, den)
+    for k in range(1, k_hi + 1):
+        x = (offset - far * k) // S
+        if x > (offset - den - near * k) // S:
             yield x, x + k
 
 
 def periodic_hull(scale: int, offset: int, den: int) -> tuple[int, int]:
     """Integer bounds bottom, top on every periodic point of
     f(z) = (scale*z + offset) // den for lam < 0, lam != -1: the candidate
-    pair x, x + k_hi of the widest gap in :func:`_two_cycle_pairs`.
+    pair x, x + k_hi of the widest gap of :func:`_gaps`.
 
     Every pair sits at a gap k <= k_hi, and as k grows the lower candidate
     end never rises and the upper end never falls (both in
     :func:`_two_cycle_pairs`); the fixed point, when one exists, is the
-    k = 0 candidate offset // (den - scale).
+    k = 0 candidate offset // S.
     """
-    s, far = scale - den, max(den, -scale)
-    k_hi = (den - 1) // abs(scale + den)
-    x = (far * k_hi - offset) // s
+    k_hi, S, _, far = _gaps(scale, den)
+    x = (offset - far * k_hi) // S
     return x, x + k_hi
 
 
@@ -333,12 +356,16 @@ def two_cycle_points(scale: int, offset: int, den: int, lo: int, hi: int) -> lis
 
 
 def count_two_cycles(p: Params) -> CountValue:
-    """Number of 2-cycles, infinite at lam = -1. Elsewhere it is the sum
-    over the gaps 1 <= k <= k_hi of floor(A_k) - floor(B_k), where
-    A_k = (far*k - offset)/s and B_k = (den + near*k - offset)/s are the
-    two ends in :func:`_two_cycle_pairs`; each term is 0 or 1, because
-    A_k - B_k lies in (0, 1). Costs O(k_hi) with k_hi < 1/|lam + 1|."""
+    """Number of 2-cycles, infinite at lam = -1. Elsewhere it is the number
+    of gaps 1 <= k <= k_hi of :func:`_gaps` that hold a pair, the sum of the
+    0-or-1 terms (offset - far*k) // S - (offset - den - near*k) // S; with
+    i = k - 1 that is a difference of two :func:`_floor_sum`. It costs
+    O(log den) whatever k_hi, and lists nothing. k_hi = 0 (lam >= 0 or
+    lam <= -2) sums no term."""
     scale, offset, den = p.form
     if scale == -den:
         return CountValue.infinite()
-    return CountValue.finite(sum(1 for _ in _two_cycle_pairs(scale, offset, den)))
+    k_hi, S, near, far = _gaps(scale, den)
+    return CountValue.finite(
+        _floor_sum(k_hi, S, -far, offset - far) - _floor_sum(k_hi, S, -near, offset - den - near)
+    )

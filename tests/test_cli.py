@@ -468,3 +468,27 @@ def test_repeated_invocations_are_identical(capsys):
     _, first = run(capsys, "cycles", "--lambda", "-13/10", "--mu", "-9/5")
     _, second = run(capsys, "cycles", "--lambda", "-13/10", "--mu", "-9/5")
     assert first == second
+
+
+@pytest.mark.parametrize("module", ["quasiaffine", "quasiaffine.cli"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--plain", "fix", "--lambda", "3/2", "--mu", "13/10"], ["--plain", "fix", "--lambda", "3/2"]],
+    ids=["success", "usage-error"],
+)
+def test_module_forms_run_the_console_entry_point(capsys, monkeypatch, module, argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=60)
+    monkeypatch.setattr(sys, "argv", ["quasiaffine", *argv])
+    # entrypoint lifts the int <-> str digit limit for its process; keep this one's
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint()
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert exit_.value.code in (0, 2)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (exit_.value.code, captured.out, captured.err)

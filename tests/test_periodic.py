@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import quasiaffine.periodic as periodic
 from quasiaffine import (
     CountValue,
     IntegerSet,
@@ -154,6 +155,56 @@ def test_counts_match_set_sizes():
         p = random_params(rng)
         assert count_fixed_points(p) == fixed_points(p).size()
         assert count_two_cycles(p) == two_cycles(p).size()
+
+
+def _walked_count(p: Params) -> int:
+    """The count by the O(k_hi) walk: each gap k <= k_hi has one candidate
+    x, and the map itself says whether {x, x + k} is a 2-cycle."""
+    scale, offset, den = p.form
+    k_hi, span = (den - 1) // abs(scale + den), den - scale
+    pairs = 0
+    for k in range(1, k_hi + 1):
+        x = (offset - max(den, -scale) * k) // span
+        pairs += (scale * x + offset) // den == x + k and (scale * (x + k) + offset) // den == x
+    return pairs
+
+
+@pytest.mark.parametrize("n", [10**2, 10**6, 10**9, 10**18])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_count_two_cycles_does_not_walk_the_gaps(monkeypatch, n, side):
+    # at lam = -(n +- 1)/n with c = floor(n*mu) and 0 <= 2c < n, gap k = 2m
+    # holds a pair for each m = 1..c and no other gap does, so there are c
+    # pairs among k_hi = n - 1 gaps; the count must find them without the walk
+    p = Params(Q(-(n + side), n), Q(1, 3))
+    if n == 10**2:
+        assert _walked_count(p) == n // 3
+    monkeypatch.setattr(periodic, "_two_cycle_pairs", lambda *form: pytest.fail("the count walked the gaps"))
+    assert count_two_cycles(p) == CountValue.finite(n // 3)
+    assert count_two_cycles(Params(p.lam, Q(0))) == CountValue.finite(0)
+
+
+def test_count_two_cycles_matches_the_walk():
+    # slopes next to -1 with n log-uniform up to 10^4 and n = 10^5, and
+    # random slopes in (-2, 0); mu in turn small, negative and huge, so
+    # offset takes every sign and size
+    rng = random.Random(26)
+    lams = [Q(-(n + rng.choice((-1, 1))), n) for n in (round(10 ** rng.uniform(0, 4)) for _ in range(24))]
+    lams.append(Q(-(10**5) - 1, 10**5))
+    for _ in range(400):
+        b = rng.randint(1, 200)
+        lams.append(Q(rng.randint(1 - 2 * b, -1), b))
+    mus = [lambda: Q(rng.randint(-50, 50), rng.randint(1, 50)),
+           lambda: Q(-rng.randint(1, 10**30), rng.randint(1, 10**4)),
+           lambda: Q(rng.randint(-(10**60), 10**60), rng.randint(1, 10**4))]
+    nonzero = 0
+    for i, lam in enumerate(lams):
+        if lam == -1:
+            continue
+        p = Params(lam, mus[i % 3]())
+        want = _walked_count(p)
+        assert count_two_cycles(p) == CountValue.finite(want), p
+        nonzero += want > 0
+    assert nonzero > 150
 
 
 def test_small_window_oracle_equivalence():

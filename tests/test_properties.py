@@ -79,6 +79,8 @@ def test_every_gap_holds_at_most_one_two_cycle(lam, mu, t):
     # every periodic point lies between the candidate ends of the widest gap
     bottom, top = periodic_hull(*p.form)
     assert all(bottom <= z <= top for z in fix + [z for pair in pairs for z in pair])
+    # and that gap is k_hi, the widest with k_hi*|lam + 1| < 1, no wider
+    assert (top - bottom) * abs(p.lam + 1) < 1 <= (top - bottom + 1) * abs(p.lam + 1)
     # mu + (1 - lam)*t conjugates f by z -> z + t: the periodic points and
     # the hull move by t, the hull through offset + (den - scale)*t
     q = Params(lam, mu + (1 - lam) * t)

@@ -21,8 +21,10 @@ import quasiaffine.omega as omega_module
 from quasiaffine import (
     CaseTag,
     CountValue,
+    IntegerSet,
     OmegaLimit,
     Params,
+    TwoCycleSet,
     Unresolved,
     Window,
     brute_fixed_points,
@@ -175,3 +177,81 @@ def test_classify_case_matches_the_fixed_set_reference():
         assert tag == _case_by_fixed_set(p), p
         tags.add(tag)
     assert tags == set(CaseTag)
+
+
+def _reflected(p):
+    """The map conjugate to p under z -> -z: -f(-z) = (scale*z + den - 1 - offset) // den,
+    since -((-n) // den) = (n + den - 1) // den."""
+    _, offset, den = p.form
+    return Params(p.lam, Q(den - 1 - offset, den))
+
+
+def _negated_closed_forms(p):
+    """The fixed set, the 2-cycle set and the count of p's reflection, read
+    off p's own closed forms by negating every point."""
+    fs, tc = fixed_points(p), two_cycles(p)
+    if fs.kind == "range":
+        fs = IntegerSet.run(-fs.hi, -fs.lo)
+    if tc.kind == "finite":
+        tc = TwoCycleSet.finite((-b, -a) for a, b in tc.pairs)
+    else:
+        tc = TwoCycleSet.neg_one_family(-tc.c)
+    return fs, tc, count_two_cycles(p)
+
+
+_SWAPPED = {"plus_inf": OmegaLimit.minus_inf(), "minus_inf": OmegaLimit.plus_inf(), "plus_minus_inf": OmegaLimit.plus_minus_inf()}
+
+
+def _negated(limit):
+    """A limit set under z -> -z: points negate, +inf and -inf swap."""
+    if limit.kind == "fixed":
+        return OmegaLimit.fixed(-limit.z)
+    if limit.kind == "two_cycle":
+        return OmegaLimit.two_cycle(-limit.b, -limit.a)
+    return _SWAPPED[limit.kind]
+
+
+def test_reflection_conjugates_the_closed_forms():
+    # every lam = a/b in [-3, 3] with b <= 10 and every residue m0 with
+    # mu = m0/b (the reflection keeps 0 <= m0 < b), then lam = -(n +- 1)/n
+    # with mu of every sign and size
+    rng = random.Random(26)
+    maps = [Params(Q(a, b), Q(m0, b)) for b in range(1, 11) for a in range(-3 * b, 3 * b + 1) if math.gcd(a, b) == 1 for m0 in range(b)]
+    assert len(maps) == 1303
+    for _ in range(200):
+        n = rng.randint(1, 1000)
+        mu = Q(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4)) if rng.random() < 0.5 else Q(rng.randint(-(10**40), 10**40), 7)
+        maps.append(Params(Q(-(n + rng.choice((-1, 1))), n), mu))
+    for p in maps:
+        q = _reflected(p)
+        assert q.form == (p.form[0], p.form[2] - 1 - p.form[1], p.form[2])
+        assert (fixed_points(q), two_cycles(q), count_two_cycles(q)) == _negated_closed_forms(p), p
+
+
+def test_reflection_conjugates_the_limit_sets():
+    # every lam = a/b in [-3, 3] with b <= 4 and every residue m0, and
+    # lam = -(n +- 1)/n for n <= 10; each integer start within
+    # periodic_radius + 3 of p*, and +-10^30, on the map and, negated, on
+    # its reflection, both against iteration
+    lams = [Q(a, b) for b in range(1, 5) for a in range(-3 * b, 3 * b + 1) if math.gcd(a, b) == 1]
+    lams += [Q(-(n + side), n) for n in range(2, 11) for side in (-1, 1)]
+    kinds, starts = set(), 0
+    for lam in lams:
+        for m0 in range(lam.denominator):
+            p = Params(lam, Q(m0, lam.denominator))
+            q = _reflected(p)
+            if p.lam == 1:
+                xs = range(-3, 4)
+            else:
+                centre, r = p.mu / (1 - p.lam), (periodic_radius(p) + 3 if abs(p.lam) != 1 else 3)
+                xs = range(math.floor(centre - r), math.ceil(centre + r) + 1)
+            for x in (*xs, 10**30, -(10**30)):
+                got = omega_limit(p, x)
+                assert omega_limit(q, -x) == _negated(got), (p, x)
+                for m, y, want in ((p, x, got), (q, -x, _negated(got))):
+                    seen = brute_omega(m, y, step_budget(m, y), escape_bound(m, y))
+                    assert want.is_escape if isinstance(seen, Unresolved) else seen == want, (m, y)
+                kinds.add(got.kind)
+                starts += 1
+    assert kinds == {"fixed", "two_cycle", "plus_inf", "minus_inf", "plus_minus_inf"}
+    assert starts > 1000
