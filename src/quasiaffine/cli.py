@@ -1,8 +1,9 @@
 """Command-line surface. Every subcommand is a thin adapter over the
-library: parse flags, call one function, render JSON (default) or plain
-text (--plain). Exit status: 0 success (and agreement for verify),
-1 verifier disagreement, 2 usage error, 141 (128 + SIGPIPE) when stdout
-is closed before the output is written.
+library: parse flags, call one function, and print the answer in its own
+rendering, JSON (default) or plain text (--plain). Exit status:
+0 success (and agreement for verify), 1 verifier disagreement, 2 usage
+error, 141 (128 + SIGPIPE) when stdout is closed before the output is
+written.
 
 `main` can be called repeatedly in one process: it builds one argparse
 parser on its first call and reuses it, since parsing leaves no state in
@@ -20,10 +21,10 @@ import re
 import sys
 from typing import Callable
 
-from .core import Params, Rational, Window, format_rational, iterate_orbit, parse_rational
-from .omega import OmegaLimit, classify_case, omega_limit
+from .core import Params, Rational, Window, iterate_orbit, parse_rational
+from .omega import classify_case, omega_limit
 from .oracle import OracleVerdict, cross_check, random_rational
-from .periodic import IntegerSet, TwoCycleSet, fixed_points, two_cycles
+from .periodic import TwoCycleSet, fixed_points, two_cycles
 from .sweep import SweepSpec, SweepTarget, grid_values, sweep, write_csv, write_jsonl
 
 
@@ -90,38 +91,16 @@ def _emit(args: argparse.Namespace, payload: Callable[[], dict], plain: Callable
     return status
 
 
-def _plain_integer_set(s: IntegerSet) -> str:
-    if s.kind == "empty":
-        return "empty"
-    if s.kind == "range":
-        return f"{{{s.lo}..{s.hi}}}"
-    return "all integers"
-
-
-def _plain_cycles(s: TwoCycleSet) -> str:
-    if s.kind == "neg_one_family":
-        return f"all pairs {{x, {s.c} - x}} over the integers (x != {s.c} - x)"
-    return " ".join(f"{{{a}, {b}}}" for a, b in s.pairs) or "none"
-
-
-def _plain_omega(o: OmegaLimit) -> str:
-    if o.kind == "fixed":
-        return f"fixed {o.z}"
-    if o.kind == "two_cycle":
-        return f"2-cycle {{{o.a}, {o.b}}}"
-    return {"plus_inf": "+infinity", "minus_inf": "-infinity", "plus_minus_inf": "+-infinity"}[o.kind]
-
-
 def _cmd_fix(args: argparse.Namespace) -> int:
     s = fixed_points(Params(args.lam, args.mu))
-    return _emit(args, s.to_json, lambda: _plain_integer_set(s))
+    return _emit(args, s.to_json, s.to_text)
 
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
     s = two_cycles(Params(args.lam, args.mu))
     if args.window is not None:
         s = TwoCycleSet("finite", s.clip(args.window.lo, args.window.hi))
-    return _emit(args, s.to_json, lambda: _plain_cycles(s))
+    return _emit(args, s.to_json, s.to_text)
 
 
 def _cmd_omega(args: argparse.Namespace) -> int:
@@ -129,14 +108,12 @@ def _cmd_omega(args: argparse.Namespace) -> int:
     limit = omega_limit(p, args.x)
     tag = classify_case(p)
     return _emit(args, lambda: {**limit.to_json(), "case": tag.value},
-                 lambda: f"{_plain_omega(limit)} [case {tag.value}]")
+                 lambda: f"{limit.to_text()} [case {tag.value}]")
 
 
 def _cmd_orbit(args: argparse.Namespace) -> int:
     orbit = iterate_orbit(Params(args.lam, args.mu), args.x, args.steps)
-    # "truncated": the tail is always a prefix of the infinite orbit
-    return _emit(args, lambda: {"start": format_rational(orbit.start), "tail": orbit.tail, "truncated": True},
-                 lambda: "\n".join(map(str, orbit.tail)))
+    return _emit(args, orbit.to_json, orbit.to_text)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

@@ -60,6 +60,16 @@ def format_rational(value: RationalLike) -> str:
     return str(as_rational(value))
 
 
+class _SetFields:
+    """The one JSON rule of the tagged answer types (counts, integer sets,
+    limit sets): the fields that are set (not None), in field order. A
+    dataclass's ``__init__`` fills ``__dict__`` in field order, and
+    instances built around it must keep that order."""
+
+    def to_json(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if value is not None}
+
+
 def integer_form(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     """(scale, offset, den) = (a, floor(b*c/d), b): f(z) = (scale*z + offset) // den
     is floor(lam*z + mu) on Z for lam = a/b and mu = c/d (b, d > 0, neither
@@ -135,11 +145,20 @@ class Orbit:
     """A finite forward orbit: rational start, integer tail f(x), f^2(x), ...
 
     The tail is always a prefix of the infinite orbit; the caller decides
-    whether it was long enough.
+    whether it was long enough. Its JSON is its own, not the rule of the
+    tagged answers: the start is written as "p/q" text, and the constant
+    "truncated" flag says that the tail is such a prefix.
     """
 
     start: Rational
     tail: tuple[int, ...]
+
+    def to_json(self) -> dict:
+        return {"start": format_rational(self.start), "tail": list(self.tail), "truncated": True}
+
+    def to_text(self) -> str:
+        """One iterate per line."""
+        return "\n".join(map(str, self.tail))
 
 
 def iterate_orbit(p: Params, x: RationalLike, steps: int) -> Orbit:

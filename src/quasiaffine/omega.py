@@ -29,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Params, Rational, RationalLike, eval_map, integer_step
+from .core import Params, Rational, RationalLike, _SetFields, eval_map, integer_step
 from .periodic import fixed_run, periodic_hull
 
 
 @dataclass(frozen=True)
-class OmegaLimit:
+class OmegaLimit(_SetFields):
     """Tagged limit set: Fixed(z), TwoCycle(a, b) with a < b, or an escape
     to {+inf}, {-inf}, or {-inf, +inf}."""
 
@@ -58,9 +58,10 @@ class OmegaLimit:
 
     # fixed and two_cycle answers are built by the library from values it
     # has just computed, so they check only what their own arguments can get
-    # wrong and set all four fields at once, skipping __init__ and
-    # __post_init__; the instance equals, hashes and prints like a
-    # constructed one, and a direct OmegaLimit(kind, ...) call still validates
+    # wrong and set all four fields at once, in field order, skipping
+    # __init__ and __post_init__; the instance equals, hashes, prints and
+    # renders like a constructed one, and a direct OmegaLimit(kind, ...)
+    # call still validates
     @classmethod
     def fixed(cls, z: int) -> OmegaLimit:
         if z is None:
@@ -95,12 +96,12 @@ class OmegaLimit:
     def is_escape(self) -> bool:
         return self.kind in ("plus_inf", "minus_inf", "plus_minus_inf")
 
-    def to_json(self) -> dict:
+    def to_text(self) -> str:
         if self.kind == "fixed":
-            return {"kind": "fixed", "z": self.z}
+            return f"fixed {self.z}"
         if self.kind == "two_cycle":
-            return {"kind": "two_cycle", "a": self.a, "b": self.b}
-        return {"kind": self.kind}
+            return f"2-cycle {{{self.a}, {self.b}}}"
+        return {"plus_inf": "+infinity", "minus_inf": "-infinity", "plus_minus_inf": "+-infinity"}[self.kind]
 
 
 _PLUS_INF = OmegaLimit("plus_inf")
@@ -111,7 +112,9 @@ _PLUS_MINUS_INF = OmegaLimit("plus_minus_inf")
 class CaseTag(Enum):
     """The nine mutually exclusive parameter/threshold regimes of the
     classification; siblings (i)/(ii), (vi)/(vii) and (viii)/(ix) are told
-    apart by whether a fixed point exists."""
+    apart by whether a fixed point exists. Its JSON is its own, not the rule
+    of the tagged answers: an enum member has no fields, and writes its
+    value under "case"."""
 
     I = "i"
     II = "ii"

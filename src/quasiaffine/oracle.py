@@ -30,7 +30,9 @@ DEFAULT_ESCAPE_BOUND = 10**9
 class OracleVerdict:
     """Outcome of a verification pass. A disagreement always says what
     mismatched (parameters, point, expected vs found); an agreement may
-    still note points the check had to skip."""
+    still note points the check had to skip. Its JSON is its own, not the
+    rule of the tagged answers in ``core``: the oracle imports only values
+    from ``core``, so that it stays independent of the closed forms."""
 
     agrees: bool
     detail: str = ""

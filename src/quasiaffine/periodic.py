@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Params
+from .core import Params, _SetFields
 
 
 @dataclass(frozen=True)
-class CountValue:
+class CountValue(_SetFields):
     """A cardinality: a non-negative integer or infinity."""
 
     kind: str  # "finite" | "infinite"
@@ -43,14 +43,9 @@ class CountValue:
     def infinite(cls) -> CountValue:
         return cls("infinite")
 
-    def to_json(self) -> dict:
-        if self.kind == "finite":
-            return {"kind": "finite", "n": self.n}
-        return {"kind": "infinite"}
-
 
 @dataclass(frozen=True)
-class IntegerSet:
+class IntegerSet(_SetFields):
     """A set of integers that is empty, one contiguous run, or all of Z.
 
     Contiguity is deliberate: the fixed-point set is always a single run,
@@ -107,10 +102,12 @@ class IntegerSet:
             return list(range(max(lo, self.lo), min(hi, self.hi) + 1))
         return list(range(lo, hi + 1))
 
-    def to_json(self) -> dict:
+    def to_text(self) -> str:
+        if self.kind == "empty":
+            return "empty"
         if self.kind == "range":
-            return {"kind": "range", "lo": self.lo, "hi": self.hi}
-        return {"kind": self.kind}
+            return f"{{{self.lo}..{self.hi}}}"
+        return "all integers"
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,9 @@ class TwoCycleSet:
     family {{x, c - x} : x in Z, 2x != c} with c = floor(mu).
 
     Finite pairs are stored canonically: each as (a, b) with a < b, the
-    tuple sorted by (a, b) and duplicate-free.
+    tuple sorted by (a, b) and duplicate-free. Its JSON is its own, not the
+    rule of the tagged answers: pairs are written as lists, and the family
+    writes no pairs.
     """
 
     kind: str  # "finite" | "neg_one_family"
@@ -194,6 +193,11 @@ class TwoCycleSet:
         if self.kind == "finite":
             return {"kind": "finite", "pairs": [[a, b] for a, b in self.pairs]}
         return {"kind": "neg_one_family", "c": self.c}
+
+    def to_text(self) -> str:
+        if self.kind == "neg_one_family":
+            return f"all pairs {{x, {self.c} - x}} over the integers (x != {self.c} - x)"
+        return " ".join(f"{{{a}, {b}}}" for a, b in self.pairs) or "none"
 
 
 def fixed_run(scale: int, offset: int, den: int) -> tuple[int, int] | None:

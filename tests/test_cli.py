@@ -423,6 +423,12 @@ _SMALL_VERIFY = ["verify", "--lambda-range", "0..1", "--lambda-step", "1/2", "--
          "2-cycle {-2, 2} [case viii]"),
         (["omega", "--lambda", "3/2", "--mu", "0", "--x", "7"], 0, '{"kind":"plus_inf","case":"i"}',
          "+infinity [case i]"),
+        (["omega", "--lambda", "0", "--mu", "1", "--x", "5/7"], 0, '{"kind":"fixed","z":1,"case":"v"}',
+         "fixed 1 [case v]"),
+        (["omega", "--lambda", "1", "--mu", "-1/2", "--x", "3"], 0, '{"kind":"minus_inf","case":"iii"}',
+         "-infinity [case iii]"),
+        (["omega", "--lambda", "-13/10", "--mu", "1/3", "--x", "7"], 0, '{"kind":"plus_minus_inf","case":"viii"}',
+         "+-infinity [case viii]"),
         (["orbit", "--lambda", "3/2", "--mu", "13/10", "--x", "-1/2", "--steps", "4"], 0,
          '{"start":"-1/2","tail":[0,1,2,4],"truncated":true}', "0\n1\n2\n4"),
         (["classify", "--lambda", "-7/10", "--mu", "-1/2"], 0, '{"case":"vii"}', "vii"),
@@ -430,20 +436,20 @@ _SMALL_VERIFY = ["verify", "--lambda-range", "0..1", "--lambda-step", "1/2", "--
         (_SMALL_VERIFY + ["--samples", "0"], 1, '{"agrees":false,"detail":"forced"}', "disagree: forced"),
     ],
     ids=["fix-range", "fix-all-integers", "fix-empty", "cycles-family", "cycles-window", "cycles-none",
-         "omega-two-cycle", "omega-escape", "orbit", "classify", "verify-agree", "verify-disagree"],
+         "omega-two-cycle", "omega-escape", "omega-fixed", "omega-minus-inf", "omega-plus-minus-inf", "orbit",
+         "classify", "verify-agree", "verify-disagree"],
 )
 def test_each_command_renders_only_the_format_it_prints(capsys, monkeypatch, argv, status, as_json, as_plain):
     if status == 1:  # the disagreement is forced
         monkeypatch.setattr(cli, "cross_check", lambda *a, **kw: OracleVerdict(False, "forced"))
     with monkeypatch.context() as m:
-        for name in ("_plain_integer_set", "_plain_cycles", "_plain_omega"):
-            m.setattr(cli, name, _refuse)
+        for value_class in (IntegerSet, TwoCycleSet, OmegaLimit, Orbit):
+            m.setattr(value_class, "to_text", _refuse)
         m.setattr(cli, "iterate_orbit", _unprintable_tail(cli.iterate_orbit))
         assert run(capsys, *argv) == (status, as_json + "\n")
     with monkeypatch.context() as m:
-        for value_class in (IntegerSet, TwoCycleSet, OmegaLimit, CaseTag, OracleVerdict):
+        for value_class in (IntegerSet, TwoCycleSet, OmegaLimit, Orbit, CaseTag, OracleVerdict):
             m.setattr(value_class, "to_json", _refuse)
-        m.setattr(cli, "format_rational", _refuse)
         m.setattr(cli, "json", SimpleNamespace(dumps=_refuse))
         assert run(capsys, "--plain", *argv) == (status, as_plain + "\n")
 

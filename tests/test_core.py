@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import random
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import quasiaffine
 from quasiaffine import (
     Params,
     Window,
@@ -226,3 +230,17 @@ def test_tail_needs_no_rational_arithmetic():
         p = Params(Q(rng.randint(-20, 20), rng.randint(1, 9)), Q(rng.randint(-20, 20), rng.randint(1, 9)))
         z = eval_map(p, x)
         assert eval_map(p, eval_map(p, x)) == integer_step(p)(z)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package runs on the standard library alone: every absolute import
+    # in src/quasiaffine names a standard module (relative ones stay inside)
+    for path in sorted(Path(quasiaffine.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert [n for n in names if n.split(".")[0] not in sys.stdlib_module_names] == [], path.name

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quasiaffine.periodic as periodic
 from quasiaffine import (
     Params,
     SweepRow,
@@ -386,3 +387,33 @@ def test_scan_output_matches_pinned_digests(fmt):
         assert rc == 0
         h.update(buf.getvalue().encode())
     assert h.hexdigest() == _GOLDEN_SHA256[fmt]
+
+
+@pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+def test_scan_cell_walks_the_gaps_up_to_the_first_straddling_pair(monkeypatch, n):
+    # README "Cost", scan: a per2 cell walks the gaps 1..K, where K is the gap
+    # of the first pair with both ends outside the window, or k_hi = n - 1 at
+    # lam = -(n-1)/n when no pair has. The walk yields pairs in increasing
+    # gap, so it has visited the gap of the last pair pulled, or every gap
+    # when it ran out. mu = 1/3 holds a pair in about every other gap and
+    # stops near the window's width; mu = 0 and 5 let no pair straddle it.
+    lam, window = Q(-(n - 1), n), Window(-100, 100)
+    walk = periodic._two_cycle_pairs
+    for mu, dense in ((Q(1, 3), True), (Q(0), False), (Q(5), False)):
+        cycles = two_cycles(Params(lam, mu))
+        straddling = [b - a for a, b in cycles.pairs if a < window.lo and b > window.hi]
+        expected = min(straddling, default=n - 1)
+        pulls = []
+
+        def counted(scale, offset, den):
+            for x, y in walk(scale, offset, den):
+                pulls.append(y - x)
+                yield x, y
+            pulls.append(n - 1)
+
+        with monkeypatch.context() as m:
+            m.setattr(periodic, "_two_cycle_pairs", counted)
+            rows = list(sweep(spec_for(lam, lam, 1, mu, mu, 1, window, SweepTarget.PERIOD2_POINTS)))
+        assert [row.x for row in rows] == cycles.points_in(window.lo, window.hi)
+        assert pulls[-1] == expected
+        assert expected == (202 if dense else n - 1)
